@@ -1,11 +1,13 @@
-"""Discrete Bayesian networks over a Dag: validation, exact enumeration,
-random law generation and i.i.d. ancestral sampling.
+"""Discrete Bayesian networks over a Dag: validation, exact factor
+contraction, random law generation and i.i.d. ancestral sampling.
 
 States are integers ``0 .. card-1``.  Every CPT is a dense float array whose
 leading axes are the vertex's parents in canonical (topological) order and
 whose last axis is the vertex's own state, so a row ``cpt[parent_state]`` is
-a distribution over the vertex.  Everything is exact enumeration at desk
-scale; a guard refuses joint state spaces above 10**7 cells.
+a distribution over the vertex.  Exact quantities come from :func:`contract`,
+which multiplies CPT factors and sums them down to only the vertices a query
+needs, one variable at a time; ``ENUMERATION_LIMIT`` (10**7 cells) bounds the
+largest table it forms on the way.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "validate",
     "joint_prob",
     "joint_table",
+    "cpt_factors",
+    "contract",
+    "marginal",
     "cond_expectation",
     "random_law",
     "sample",
@@ -59,7 +64,7 @@ class ZeroConditioningEvent(ValueError):
 
 
 class EnumerationLimitError(ValueError):
-    """The joint state space exceeds the exact-enumeration guard."""
+    """A table the exact layer would form exceeds the enumeration guard."""
 
 
 def _splitmix64(x: int) -> int:
@@ -81,7 +86,7 @@ def check_enumerable(cards: Iterable[int]) -> None:
         total *= c
         if total > ENUMERATION_LIMIT:
             raise EnumerationLimitError(
-                f"joint state space exceeds {ENUMERATION_LIMIT} configurations"
+                f"a table of more than {ENUMERATION_LIMIT} configurations is needed"
             )
 
 
@@ -101,6 +106,8 @@ class DiscreteBn:
     ):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "cards", dict(cards))
+        parents = {v: graph.parent_list(v) for v in graph.vertices}
+        object.__setattr__(self, "_parents", parents)
         norm: dict[str, np.ndarray] = {}
         for v in graph.vertices:
             if v not in self.cards:
@@ -111,9 +118,7 @@ class DiscreteBn:
             if v not in cpts:
                 raise GraphError(f"missing CPT for {v!r}")
             table = np.asarray(cpts[v], dtype=float)
-            shape = tuple(self.cards[p] for p in graph.parent_list(v)) + (
-                self.cards[v],
-            )
+            shape = tuple(self.cards[p] for p in parents[v]) + (self.cards[v],)
             if table.shape != shape:
                 raise GraphError(
                     f"CPT for {v!r} has shape {table.shape}, expected {shape} "
@@ -125,7 +130,7 @@ class DiscreteBn:
         object.__setattr__(self, "cpts", norm)
 
     def parent_order(self, v: str) -> tuple[str, ...]:
-        return self.graph.parent_list(v)
+        return self._parents[v]
 
     def state_shape(self) -> tuple[int, ...]:
         return tuple(self.cards[v] for v in self.graph.vertices)
@@ -188,31 +193,116 @@ def validate(
     return cert
 
 
-# -- exact enumeration -----------------------------------------------------
+# -- exact factor contraction -------------------------------------------------
+
+AxesTable = tuple[tuple[str, ...], np.ndarray]  # a factor: its axes and its table
+
 
 def _broadcast_factor(
     bn_axes: Sequence[str], cards: Mapping[str, int], factor_axes: Sequence[str], table: np.ndarray
 ) -> np.ndarray:
     """Expand ``table`` (axes ``factor_axes``) to broadcast over ``bn_axes``."""
-    pos = {v: i for i, v in enumerate(bn_axes)}
-    perm = sorted(range(len(factor_axes)), key=lambda i: pos[factor_axes[i]])
-    arranged = np.transpose(table, perm)
+    at = [bn_axes.index(v) for v in factor_axes]
+    if at != sorted(at):
+        table = table.transpose(sorted(range(len(at)), key=at.__getitem__))
     shape = [1] * len(bn_axes)
-    for v, n in zip([factor_axes[i] for i in perm], arranged.shape):
-        shape[pos[v]] = n
-    return arranged.reshape(shape)
+    for i, v in zip(at, factor_axes):
+        shape[i] = cards[v]
+    return table.reshape(shape)
+
+
+def _product(
+    factors: Sequence[AxesTable], cards: Mapping[str, int], axes: Sequence[str]
+) -> np.ndarray:
+    """Dense product of ``factors`` over ``axes``, refused past the guard."""
+    shape = tuple(cards[v] for v in axes)
+    check_enumerable(shape)
+    total = np.ones(())
+    for factor_axes, table in factors:
+        total = total * _broadcast_factor(axes, cards, factor_axes, table)
+    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
+
+
+def contract(
+    factors: Iterable[AxesTable], cards: Mapping[str, int], keep: Sequence[str]
+) -> np.ndarray:
+    """Product of ``factors`` summed down to ``keep``, one axis per kept
+    vertex in that order.
+
+    Variable elimination: each step takes the summed-out vertex with the
+    fewest neighbours in the factors' interaction graph (ties in order of
+    first appearance), multiplies the factors that mention it by
+    broadcasting, and sums out it and every other summed-out vertex that no
+    remaining factor mentions.  Every table formed, the result included, is
+    checked against ``ENUMERATION_LIMIT``.
+    """
+    kept = set(keep)
+    factors = list(factors)
+    nbrs: dict[str, set[str]] = {}  # summed-out vertex -> its neighbours
+    for axes, _ in factors:
+        for v in axes:
+            if v not in kept:
+                nbrs.setdefault(v, set()).update(axes)
+    while nbrs:
+        v = min(nbrs, key=lambda u: len(nbrs[u]))
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        left = kept.union(*(f_axes for f_axes, _ in factors))
+        axes = tuple(dict.fromkeys(u for f_axes, _ in bucket for u in f_axes))
+        gone = [u for u in axes if u not in left]
+        out = tuple(u for u in axes if u in left)
+        for u in gone:
+            del nbrs[u]
+        for u in out:
+            if u in nbrs:
+                nbrs[u].difference_update(gone)
+                nbrs[u].update(out)
+        table = bucket[0][1] if len(bucket) == 1 else _product(bucket, cards, axes)
+        factors.append((out, table.sum(axis=tuple(axes.index(u) for u in gone))))
+    return _product(factors, cards, tuple(keep))
+
+
+def cpt_factors(
+    bn: DiscreteBn, keep: Iterable[str], level: int | None = None
+) -> list[AxesTable]:
+    """The CPTs that a marginal over ``keep`` needs, as ``(axes, table)``
+    factors: those of ``keep`` and its ancestors, since every other CPT sums
+    out to 1.  With ``level`` the treatment's own factor is left out and its
+    axis is fixed at ``level`` wherever it is a parent: the truncated
+    factorization, whose ancestors are taken with the treatment's incoming
+    edges cut."""
+    treat = bn.graph.treatment
+    fixed = treat if level is not None else None
+    need = set(keep) - {fixed}
+    stack = list(need)
+    while stack:
+        for p in bn.parent_order(stack.pop()):
+            if p not in need and p != fixed:
+                need.add(p)
+                stack.append(p)
+    out = []
+    for v in bn.graph.vertices:
+        if v not in need:
+            continue
+        axes, table = bn.parent_order(v) + (v,), bn.cpts[v]
+        if fixed in axes:
+            i = axes.index(fixed)
+            axes, table = axes[:i] + axes[i + 1 :], np.take(table, level, axis=i)
+        out.append((axes, table))
+    return out
+
+
+def marginal(bn: DiscreteBn, keep: Sequence[str]) -> np.ndarray:
+    """The network's law summed down to ``keep`` (axes in that order)."""
+    for v in keep:
+        bn.graph._check(v)
+    return contract(cpt_factors(bn, keep), bn.cards, keep)
 
 
 def joint_table(bn: DiscreteBn) -> np.ndarray:
     """Full joint probability array with one axis per vertex, in declaration
     order."""
-    check_enumerable(bn.state_shape())
-    axes = bn.graph.vertices
-    total = np.ones(bn.state_shape())
-    for v in axes:
-        factor_axes = list(bn.parent_order(v)) + [v]
-        total = total * _broadcast_factor(axes, bn.cards, factor_axes, bn.cpts[v])
-    return total
+    return marginal(bn, bn.graph.vertices)
 
 
 def joint_prob(bn: DiscreteBn, v: Sequence[int]) -> float:
@@ -245,8 +335,8 @@ def cond_expectation(
     given = dict(given or {})
     for name in list(f_vars) + list(given):
         bn.graph._check(name)
-    joint = joint_table(bn)
-    axes = bn.graph.vertices
+    axes = [v for v in bn.graph.vertices if v in given or v in f_vars]
+    joint = marginal(bn, axes)
     pos = {v: i for i, v in enumerate(axes)}
     sl = [slice(None)] * len(axes)
     for name, s in given.items():
@@ -386,6 +476,8 @@ def bn_to_json(bn: DiscreteBn) -> dict:
 
 
 def bn_from_json(payload: dict) -> DiscreteBn:
+    """Inverse of :func:`bn_to_json`; the network is validated on the way in,
+    so a CPT row that does not sum to 1 raises :class:`NormalizationError`."""
     gspec = payload["graph"]
     g = Dag(
         gspec["vertices"],
@@ -405,7 +497,9 @@ def bn_from_json(payload: dict) -> DiscreteBn:
             )
         shape = tuple(cards[p] for p in declared) + (cards[v],)
         cpts[v] = np.asarray(spec["table"], dtype=float).reshape(shape)
-    return DiscreteBn(g, cards, cpts)
+    bn = DiscreteBn(g, cards, cpts)
+    validate(bn)
+    return bn
 
 
 def load_bn(path: str) -> DiscreteBn:

@@ -14,10 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bn import DiscreteBn, check_enumerable, joint_table
-from .functionals import _conditional_from_joint, _positions, _value_axis
+from .bn import DiscreteBn
+from .functionals import _g_formula
 from .graph import Dag, GraphError, ancestors, topo_sort
 
 __all__ = ["GFormula", "Factor", "derive_gformula", "render", "parse_json", "evaluate"]
@@ -170,14 +168,11 @@ def parse_json(text: str) -> GFormula:
 
 
 def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
-    """Evaluate the formula against a network's law by exact enumeration.
-
-    Conditional densities are taken from the joint law, so the formula may
-    come from a different (e.g. reduced) graph than the network's; every
-    label must be a network vertex.
+    """Evaluate the formula against a network's law, exactly, as
+    :func:`~causal_reduce.functionals.g_functional_for_graph` does: the
+    conditionals come from the marginal law over the formula's labels, so the
+    formula may come from a reduced graph; every label must be a vertex.
     """
-    labels = bn.graph.vertices
-    pos = _positions(labels)
     if set(f.sum_vars) != {fa.child for fa in f.factors}:
         raise GraphError("formula must carry one factor per summation variable")
     treat_labels = {
@@ -186,15 +181,5 @@ def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
     if len(treat_labels) > 1:
         raise GraphError("formula references more than one non-summed label")
     treatment = treat_labels.pop() if treat_labels else bn.graph.treatment
-    for v in list(f.sum_vars) + [treatment]:
-        bn.graph._check(v)
-    check_enumerable(bn.cards[v] for v in labels)
-    joint = joint_table(bn)
-    total = np.ones([1] * len(labels))
-    for fa in f.factors:
-        cond = _conditional_from_joint(joint, labels, fa.child, fa.parents)
-        if treatment in fa.parents:
-            cond = np.take(cond, [a], axis=pos[treatment])
-        total = total * cond
-    y_vals = _value_axis(labels, bn.cards, f.outcome)
-    return float((total * y_vals).sum())
+    factors = [(fa.child, fa.parents) for fa in f.factors]
+    return _g_formula(bn, factors, treatment, f.outcome, a)

@@ -1,9 +1,12 @@
 """Exact evaluation of identifying formulas, the efficient influence
 function and its variance, and maximum-likelihood plugin estimators.
 
-All exact routines enumerate the full joint state space of a
-:class:`~causal_reduce.bn.DiscreteBn` (guarded at 10**7 configurations) and
-are pure given their inputs.
+Every exact routine contracts the CPTs of a
+:class:`~causal_reduce.bn.DiscreteBn` down to the vertices it needs
+(:func:`~causal_reduce.bn.contract`); none builds the joint over all
+vertices.  ``ENUMERATION_LIMIT`` (10**7 cells) bounds the largest table
+formed.  A conditional that a formula needs on an event of probability zero
+raises; none is filled in.  All routines are pure given their inputs.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from .bn import (
     ZeroConditioningEvent,
     _broadcast_factor,
     check_enumerable,
-    joint_table,
+    contract,
+    cpt_factors,
+    marginal,
 )
-from .graph import Dag, GraphError
+from .graph import Dag, GraphError, _as_set
 from .taxonomy import Taxonomy, classify
 
 __all__ = [
@@ -62,108 +67,114 @@ class EstimateReport:
     n_times_variance: float | None = None
 
 
-def _positions(labels: Sequence[str]) -> dict[str, int]:
-    return {v: i for i, v in enumerate(labels)}
+def _sum_to(joint: np.ndarray, labels: Sequence[str], keep: Iterable[str]) -> np.ndarray:
+    """``joint`` summed down to ``keep``, keeping the other axes as size 1."""
+    keep = set(keep)
+    drop = tuple(i for i, v in enumerate(labels) if v not in keep)
+    return joint.sum(axis=drop, keepdims=True)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The one way a conditional is read: ``num / den``, where a cell with
+    ``den`` = 0 is undefined and reads ``num`` (0 when both are sums of one
+    law); a caller that needs such a cell checks it with :func:`_require`."""
+    return num / np.where(den > 0.0, den, 1.0)
+
+
+def _require(weight: np.ndarray, den: np.ndarray, error: type, message: str) -> None:
+    """The one positivity check: raise ``error`` where ``den`` is 0 on a
+    cell that ``weight`` gives positive probability."""
+    bad = den <= 0.0
+    if bad.any():
+        bad = bad & (weight > 0.0)
+        if bad.any():
+            at = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise error(f"{message} (cell {at})")
 
 
 def _expect_given(
-    joint: np.ndarray,
-    labels: Sequence[str],
-    f_arr: np.ndarray,
-    given: Iterable[str],
+    joint: np.ndarray, labels: Sequence[str], f_arr: np.ndarray, given: Iterable[str]
 ) -> np.ndarray:
     """E[f | given] as a broadcastable array (keepdims); zero off-support."""
-    pos = _positions(labels)
-    keep = {pos[v] for v in given}
-    other = tuple(i for i in range(len(labels)) if i not in keep)
-    denom = joint.sum(axis=other, keepdims=True)
-    num = (joint * f_arr).sum(axis=other, keepdims=True)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(denom > 0.0, num / safe, 0.0)
+    given = set(given)
+    return _ratio(_sum_to(joint * f_arr, labels, given), _sum_to(joint, labels, given))
 
 
 def _value_axis(labels: Sequence[str], cards: Mapping[str, int], v: str) -> np.ndarray:
     """State values of ``v`` (0..card-1) broadcast along its axis."""
     shape = [1] * len(labels)
-    shape[_positions(labels)[v]] = cards[v]
+    shape[labels.index(v)] = cards[v]
     return np.arange(cards[v], dtype=float).reshape(shape)
 
 
-def _marginal_for_graph(bn: DiscreteBn, graph: Dag) -> np.ndarray:
-    """Marginal joint of bn over ``graph.vertices``, axes in graph order."""
-    missing = [v for v in graph.vertices if v not in bn.graph.vertices]
-    if missing:
-        raise GraphError(f"graph vertices {missing} not in the network")
-    joint = joint_table(bn)
-    labels = bn.graph.vertices
-    keep = set(graph.vertices)
-    drop = tuple(i for i, v in enumerate(labels) if v not in keep)
-    marg = joint.sum(axis=drop)
-    remaining = [v for v in labels if v in keep]
-    perm = [remaining.index(v) for v in graph.vertices]
-    return np.transpose(marg, perm)
-
-
-def _conditional_from_joint(
-    joint: np.ndarray,
-    labels: Sequence[str],
-    child: str,
-    parents: Iterable[str],
+def _indicator(
+    labels: Sequence[str], cards: Mapping[str, int], v: str, a: int
 ) -> np.ndarray:
-    """p(child | parents) from a joint array; zero where the conditioning
-    event has no mass (such cells never carry weight on the suites used)."""
-    pos = _positions(labels)
-    pa = set(parents)
-    num_axes = tuple(i for i, v in enumerate(labels) if v != child and v not in pa)
-    den_axes = tuple(i for i, v in enumerate(labels) if v == child or v not in pa)
-    num = joint.sum(axis=num_axes, keepdims=True)
-    den = joint.sum(axis=den_axes, keepdims=True)
-    safe = np.where(den > 0.0, den, 1.0)
-    return np.where(den > 0.0, num / safe, 0.0)
+    """1{v = a} broadcast along the axis of ``v``."""
+    return (_value_axis(labels, cards, v) == a).astype(float)
 
 
-def _check_positivity(bn: DiscreteBn, a: int) -> None:
-    """P(A=a | pa(A)) must be positive at every reachable parent state."""
-    g = bn.graph
-    treat = g.treatment
-    if not 0 <= a < bn.cards[treat]:
+def _law_over(bn: DiscreteBn, vertices: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The network's marginal over ``vertices``, axes in declaration order."""
+    wanted = _as_set(bn.graph, vertices)
+    labels = [v for v in bn.graph.vertices if v in wanted]
+    return labels, marginal(bn, labels)
+
+
+def _check_level(cards: Mapping[str, int], treat: str, a: int) -> None:
+    if not 0 <= a < cards[treat]:
         raise GraphError(f"treatment level {a} out of range")
-    joint = joint_table(bn)
-    labels = g.vertices
-    parents = g.parent_list(treat)
-    pa_marg = joint.sum(
-        axis=tuple(i for i, v in enumerate(labels) if v not in parents)
-    )
-    remaining = [v for v in labels if v in parents]
-    pa_marg = np.transpose(pa_marg, [remaining.index(p) for p in parents])
-    table = bn.cpts[treat][..., a]
-    bad = (pa_marg > 0.0) & (table <= 0.0)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise PositivityError(
-            f"P({treat}={a} | {parents}={idx}) = 0 on a positive-probability event"
-        )
 
 
 def g_functional_exact(bn: DiscreteBn, a: int) -> float:
     """Interventional mean at treatment level ``a`` via the network's own
     truncated factorization."""
-    _check_positivity(bn, a)
     g = bn.graph
-    labels = [v for v in g.vertices if v != g.treatment]
-    cards = bn.cards
-    check_enumerable(cards[v] for v in labels)
-    total = np.ones([cards[v] for v in labels])
-    for v in labels:
-        parent_axes = list(bn.parent_order(v))
-        table = bn.cpts[v]
-        if g.treatment in parent_axes:
-            axis = parent_axes.index(g.treatment)
-            table = np.take(table, a, axis=axis)
-            parent_axes.remove(g.treatment)
-        total = total * _broadcast_factor(labels, cards, parent_axes + [v], table)
-    y_vals = _value_axis(labels, cards, g.outcome)
-    return float((total * y_vals).sum())
+    treat, y = g.treatment, g.outcome
+    _check_level(bn.cards, treat, a)
+    column = bn.cpts[treat][..., a]
+    if np.any(column <= 0.0):
+        parents = bn.parent_order(treat)
+        message = f"P({treat}={a} | {', '.join(parents)}) = 0 on a positive-probability event"
+        _require(marginal(bn, parents), column, PositivityError, message)
+    factors = cpt_factors(bn, {y}, a) + [((y,), np.arange(bn.cards[y], dtype=float))]
+    return float(contract(factors, bn.cards, ()))
+
+
+def _g_formula(
+    bn: DiscreteBn, factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int
+) -> float:
+    """A truncated factorization, one ``(child, parents)`` factor per summed
+    vertex, with every conditional read from the law of ``bn`` over the
+    formula's vertices and the treatment fixed at ``a`` where it is a parent.
+
+    A needed conditional on a zero-probability event raises: with the
+    treatment among its parents it is a :class:`PositivityError`, otherwise
+    a :class:`ZeroConditioningEvent`.
+    """
+    _check_level(bn.cards, treat, a)
+    labels, joint = _law_over(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
+    total = np.ones([1] * len(labels))
+    undefined = []
+    for child, parents in factors:
+        num = _sum_to(joint, labels, {child, *parents})
+        if treat in parents:
+            num = num.take([a], axis=labels.index(treat))
+        den = num.sum(axis=labels.index(child), keepdims=True)
+        defined = den > 0.0
+        if defined.all():
+            cond = num / den
+        else:
+            # undefined cells weigh 1 so that only the defined factors decide
+            # whether a configuration, and so the cell, is needed
+            cond = _ratio(num, den) + ~defined
+            undefined.append((child, tuple(parents), den))
+        total = total * cond
+    for child, parents, den in undefined:
+        error = PositivityError if treat in parents else ZeroConditioningEvent
+        message = f"p({child} | {', '.join(parents)}) at {treat}={a} needs a null event"
+        _require(total, den, error, message)
+    return float((total * _value_axis(labels, bn.cards, y)).sum())
 
 
 def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
@@ -173,60 +184,23 @@ def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     case the marginal law is used; this computes the reduced-graph
     functional of the marginal law in one step.
     """
-    marg = _marginal_for_graph(bn, graph)
-    labels = graph.vertices
-    cards = {v: bn.cards[v] for v in labels}
     treat = graph.treatment
-    if not 0 <= a < cards[treat]:
-        raise GraphError(f"treatment level {a} out of range")
-    pos = _positions(labels)
-    total = np.ones([1] * len(labels))
-    for v in labels:
-        if v == treat:
-            continue
-        cond = _conditional_from_joint(marg, labels, v, graph.parents(v))
-        if treat in graph.parents(v):
-            cond = np.take(cond, [a], axis=pos[treat])
-        total = total * cond
-    y_vals = _value_axis(labels, cards, graph.outcome)
-    return float((total * y_vals).sum())
+    factors = [(v, graph.parent_list(v)) for v in graph.vertices if v != treat]
+    return _g_formula(bn, factors, treat, graph.outcome, a)
 
 
 def adjustment_exact(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
     """Adjustment formula: sum over l of E[Y | A=a, L=l] P(l)."""
     g = bn.graph
-    labels = g.vertices
-    Ls = set()
-    for v in L:
-        g._check(v)
-        Ls.add(v)
-    joint = joint_table(bn)
-    pos = _positions(labels)
+    Ls = _as_set(g, L)
+    labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
     y_vals = _value_axis(labels, bn.cards, g.outcome)
-    p_l = joint.sum(
-        axis=tuple(i for i, v in enumerate(labels) if v not in Ls), keepdims=True
-    )
-    at_a = np.take(joint, [a], axis=pos[g.treatment])
-    den = at_a.sum(
-        axis=tuple(i for i, v in enumerate(labels) if v not in Ls), keepdims=True
-    )
-    num = (at_a * y_vals).sum(
-        axis=tuple(i for i, v in enumerate(labels) if v not in Ls), keepdims=True
-    )
-    needed = p_l > 0.0
-    if np.any(needed & (den <= 0.0)):
-        raise ZeroConditioningEvent(
-            f"P({g.treatment}={a}, L=l) = 0 for some l with P(l) > 0"
-        )
-    safe = np.where(den > 0.0, den, 1.0)
-    return float(np.where(needed, num / safe * p_l, 0.0).sum())
-
-
-def _take_compat(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
-    """Take ``index`` along ``axis`` (keepdims), tolerating size-1 axes."""
-    if arr.shape[axis] == 1:
-        return arr
-    return np.take(arr, [index], axis=axis)
+    p_l = _sum_to(joint, labels, Ls)
+    at_a = np.take(joint, [a], axis=labels.index(g.treatment))
+    den = _sum_to(at_a, labels, Ls)
+    message = f"P({g.treatment}={a}, L=l) = 0 for some l with P(l) > 0"
+    _require(p_l, den, ZeroConditioningEvent, message)
+    return float((_ratio(_sum_to(at_a * y_vals, labels, Ls), den) * p_l).sum())
 
 
 def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
@@ -238,42 +212,24 @@ def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
     standard formula.
     """
     g = bn.graph
-    labels = g.vertices
-    Ms = set()
-    for v in mediators:
-        g._check(v)
-        Ms.add(v)
+    Ms = _as_set(g, mediators)
     treat = g.treatment
-    joint = joint_table(bn)
-    pos = _positions(labels)
+    labels, joint = _law_over(bn, Ms | {treat, g.outcome})
+    at = labels.index(treat)
     y_vals = _value_axis(labels, bn.cards, g.outcome)
 
     am_axes = Ms | {treat}
-    p_am = joint.sum(
-        axis=tuple(i for i, v in enumerate(labels) if v not in am_axes), keepdims=True
-    )
-    p_a = joint.sum(
-        axis=tuple(i for i, v in enumerate(labels) if v != treat), keepdims=True
-    )
-    if float(np.take(p_a, a, axis=pos[treat]).ravel()[0]) <= 0.0:
-        raise ZeroConditioningEvent(f"P({treat}={a}) = 0")
-    p_m_given_a = np.take(p_am, [a], axis=pos[treat]) / np.take(
-        p_a, [a], axis=pos[treat]
-    )
-    num = (joint * y_vals).sum(
-        axis=tuple(i for i, v in enumerate(labels) if v not in am_axes), keepdims=True
-    )
-    defined = p_am > 0.0
-    safe = np.where(defined, p_am, 1.0)
-    e_y_am = np.where(defined, num / safe, 0.0)
-    weights = np.where(defined, p_a, 0.0)
-    denom_a = weights.sum(axis=pos[treat], keepdims=True)
-    if np.any((p_m_given_a > 0.0) & (denom_a <= 0.0)):
-        raise ZeroConditioningEvent(
-            "no treatment level is jointly observable with a needed mediator state"
-        )
-    safe_denom = np.where(denom_a > 0.0, denom_a, 1.0)
-    inner = (e_y_am * weights).sum(axis=pos[treat], keepdims=True) / safe_denom
+    p_am = _sum_to(joint, labels, am_axes)
+    p_a = _sum_to(joint, labels, {treat})
+    p_a_at = p_a.take([a], axis=at)
+    _require(np.ones(()), p_a_at, ZeroConditioningEvent, f"P({treat}={a}) = 0")
+    p_m_given_a = p_am.take([a], axis=at) / p_a_at
+    e_y_am = _ratio(_sum_to(joint * y_vals, labels, am_axes), p_am)
+    weights = np.where(p_am > 0.0, p_a, 0.0)
+    denom_a = weights.sum(axis=at, keepdims=True)
+    message = "no treatment level is jointly observable with a needed mediator state"
+    _require(p_m_given_a, denom_a, ZeroConditioningEvent, message)
+    inner = _ratio((e_y_am * weights).sum(axis=at, keepdims=True), denom_a)
     return float((p_m_given_a * inner).sum())
 
 
@@ -295,15 +251,12 @@ class EifContext:
     joint: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(
-        cls,
-        bn: DiscreteBn,
-        a: int,
-        graph: Dag | None = None,
-    ) -> "EifContext":
+    def build(cls, bn: DiscreteBn, a: int, graph: Dag | None = None) -> "EifContext":
+        """Dense context: ``values`` and ``joint`` have one axis per vertex of
+        ``graph`` (the network's own graph by default), in its order."""
         graph = graph or bn.graph
-        marg = _marginal_for_graph(bn, graph)
-        return _build_context(graph, {v: bn.cards[v] for v in graph.vertices}, marg, a)
+        joint = marginal(bn, graph.vertices)
+        return _build_context(graph, classify(graph), bn.cards, graph.vertices, joint, a)
 
     def evaluate(self, v: Sequence[int]) -> float:
         if len(v) != len(self.graph.vertices):
@@ -312,82 +265,50 @@ class EifContext:
 
 
 def _build_context(
-    graph: Dag, cards: Mapping[str, int], joint: np.ndarray, a: int
+    graph: Dag, tax: Taxonomy, cards: Mapping[str, int], labels: Sequence[str],
+    joint: np.ndarray, a: int,
 ) -> EifContext:
-    labels = graph.vertices
-    pos = _positions(labels)
-    tax = classify(graph)
+    """The influence function over the axes ``labels`` of ``joint``, which
+    must hold the function's support (:func:`_eif_support`)."""
     treat, outcome = graph.treatment, graph.outcome
-    if not 0 <= a < cards[treat]:
-        raise GraphError(f"treatment level {a} out of range")
+    _check_level(cards, treat, a)
     y_vals = _value_axis(labels, cards, outcome)
 
     o_order = tuple(v for v in labels if v in tax.o)
     omin_order = tuple(v for v in labels if v in tax.o_min)
 
     # b(O) = E[Y | A=a, O]
-    e_y_ao = _expect_given(joint, labels, y_vals, set(o_order) | {treat})
-    b_arr = _take_compat(e_y_ao, pos[treat], a)
+    b_arr = _expect_given(joint, labels, y_vals, set(o_order) | {treat})
+    b_arr = b_arr.take([a], axis=labels.index(treat))
 
     # rho(O_min) = P(A=a | O_min)
-    shape = [1] * len(labels)
-    shape[pos[treat]] = cards[treat]
-    ind_a = np.zeros(shape)
-    idx = [0] * len(labels)
-    idx[pos[treat]] = a
-    ind_a[tuple(idx)] = 1.0
-    rho_arr = _expect_given(joint, labels, ind_a, omin_order)
-    p_omin = joint.sum(
-        axis=tuple(i for i, v in enumerate(labels) if v not in omin_order),
-        keepdims=True,
-    )
-    if np.any((p_omin > 0.0) & (rho_arr <= 0.0)):
-        raise PositivityError(
-            f"P({treat}={a} | O_min) = 0 on a positive-probability event"
-        )
-    rho_safe = np.where(rho_arr > 0.0, rho_arr, 1.0)
-    t_arr = ind_a * y_vals / rho_safe
+    ind_a = _indicator(labels, cards, treat, a)
+    p_omin = _sum_to(joint, labels, omin_order)
+    rho_arr = _ratio(_sum_to(joint * ind_a, labels, omin_order), p_omin)
+    message = f"P({treat}={a} | O_min) = 0 on a positive-probability event"
+    _require(p_omin, rho_arr, PositivityError, message)
+    t_arr = _ratio(ind_a * y_vals, rho_arr)
 
+    # E[f | pa(v), v] - E[f | pa(v)], with f = b for v in W and T for v in M
     eif = np.zeros([1] * len(labels))
-    for wj in (v for v in labels if v in tax.w):
-        pa = graph.parents(wj)
-        eif = eif + _expect_given(joint, labels, b_arr, pa | {wj})
-        eif = eif - _expect_given(joint, labels, b_arr, pa)
-    for mk in (v for v in labels if v in tax.m):
-        pa = graph.parents(mk)
-        eif = eif + _expect_given(joint, labels, t_arr, pa | {mk})
-        eif = eif - _expect_given(joint, labels, t_arr, pa)
+    for f_arr, group in ((b_arr, tax.w), (t_arr, tax.m)):
+        weighted = joint * f_arr if group else None
+        for v in (u for u in labels if u in group):
+            keep, i = graph.parents(v) | {v}, labels.index(v)
+            num, den = _sum_to(weighted, labels, keep), _sum_to(joint, labels, keep)
+            eif = eif + _ratio(num, den)
+            num, den = num.sum(axis=i, keepdims=True), den.sum(axis=i, keepdims=True)
+            eif = eif - _ratio(num, den)
     eif = np.broadcast_to(eif, joint.shape).copy()
 
-    b_table = {
-        idx: float(b_arr[tuple(_place(labels, o_order, idx, pos))])
-        for idx in np.ndindex(*(cards[v] for v in o_order))
-    }
-    rho_table = {
-        idx: float(rho_arr[tuple(_place(labels, omin_order, idx, pos))])
-        for idx in np.ndindex(*(cards[v] for v in omin_order))
-    }
-    return EifContext(
-        graph=graph,
-        tax=tax,
-        level=a,
-        b_table=b_table,
-        rho_table=rho_table,
-        values=eif,
-        joint=joint,
-    )
+    b_table = _table(b_arr, [cards[v] for v in o_order])
+    rho_table = _table(rho_arr, [cards[v] for v in omin_order])
+    return EifContext(graph, tax, a, b_table, rho_table, values=eif, joint=joint)
 
 
-def _place(
-    labels: Sequence[str],
-    order: Sequence[str],
-    idx: tuple[int, ...],
-    pos: Mapping[str, int],
-) -> list[int]:
-    out = [0] * len(labels)
-    for v, s in zip(order, idx):
-        out[pos[v]] = s
-    return out
+def _table(arr: np.ndarray, shape: Sequence[int]) -> dict[tuple[int, ...], float]:
+    """A keepdims array over some axes, as a dict from their states."""
+    return {idx: float(x) for idx, x in np.ndenumerate(arr.reshape(shape))}
 
 
 def eif_exact(
@@ -402,54 +323,49 @@ def eif_exact(
     return ctx.evaluate(v)
 
 
+def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:
+    """The vertices the influence function depends on: A, Y, O, O_min and
+    every vertex of W and M with its parents."""
+    support = {graph.treatment, graph.outcome} | tax.o | tax.o_min
+    for v in tax.w | tax.m:
+        support |= graph.parents(v) | {v}
+    return support
+
+
+def _eif_variance(bn: DiscreteBn, graph: Dag, a: int) -> float:
+    tax = classify(graph)
+    labels, joint = _law_over(bn, _eif_support(graph, tax))
+    ctx = _build_context(graph, tax, bn.cards, labels, joint, a)
+    return float((ctx.joint * ctx.values**2).sum())
+
+
 def eif_variance(bn: DiscreteBn, a: int) -> float:
     """Semiparametric variance bound: variance of the influence function."""
-    ctx = EifContext.build(bn, a)
-    return float((ctx.joint * ctx.values**2).sum())
+    return _eif_variance(bn, bn.graph, a)
 
 
 def eif_variance_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     """Variance bound computed under ``graph`` for the (marginal) law of the
     network restricted to ``graph.vertices``."""
-    ctx = EifContext.build(bn, a, graph=graph)
-    return float((ctx.joint * ctx.values**2).sum())
+    return _eif_variance(bn, graph, a)
 
 
 def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
     """Asymptotic variance of the plugin adjustment estimator: the variance
     of its nonparametric influence function."""
     g = bn.graph
-    labels = g.vertices
-    Ls = set()
-    for v in L:
-        g._check(v)
-        Ls.add(v)
-    joint = joint_table(bn)
-    pos = _positions(labels)
+    Ls = _as_set(g, L)
+    labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
     y_vals = _value_axis(labels, bn.cards, g.outcome)
-    shape = [1] * len(labels)
-    shape[pos[g.treatment]] = bn.cards[g.treatment]
-    ind_a = np.zeros(shape)
-    idx = [0] * len(labels)
-    idx[pos[g.treatment]] = a
-    ind_a[tuple(idx)] = 1.0
-
-    b_l = _take_compat(
-        _expect_given(joint, labels, y_vals, Ls | {g.treatment}), pos[g.treatment], a
-    )
-    e_l = _expect_given(joint, labels, ind_a, Ls)
-    if np.any(
-        (joint.sum(
-            axis=tuple(i for i, v in enumerate(labels) if v not in Ls), keepdims=True
-        ) > 0.0)
-        & (e_l <= 0.0)
-    ):
-        raise ZeroConditioningEvent(
-            f"P({g.treatment}={a} | L) = 0 on a positive-probability event"
-        )
-    e_safe = np.where(e_l > 0.0, e_l, 1.0)
-    psi = adjustment_exact(bn, Ls, a)
-    phi = ind_a / e_safe * (y_vals - b_l) + b_l - psi
+    ind_a = _indicator(labels, bn.cards, g.treatment, a)
+    b_l = _expect_given(joint, labels, y_vals, Ls | {g.treatment})
+    b_l = b_l.take([a], axis=labels.index(g.treatment))
+    p_l = _sum_to(joint, labels, Ls)
+    e_l = _ratio(_sum_to(joint * ind_a, labels, Ls), p_l)
+    message = f"P({g.treatment}={a} | L) = 0 on a positive-probability event"
+    _require(p_l, e_l, ZeroConditioningEvent, message)
+    psi = float((b_l * p_l).sum())
+    phi = _ratio(ind_a, e_l) * (y_vals - b_l) + b_l - psi
     return float((joint * phi**2).sum())
 
 

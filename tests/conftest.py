@@ -256,6 +256,21 @@ def golden(name: str) -> Dag:
     return parse_graph(GOLDEN_TEXTS[name])
 
 
+# W -> O -> A, O -> Y, A -> Y with P(A=1 | O=0) = 0: the effect at level 1 is
+# not identified, because the stratum O = 0 never receives that level.
+POSITIVITY_HOLE_TEXT = "!treatment A\n!outcome Y\nW -> O\nO -> A\nO -> Y\nA -> Y\n"
+
+
+def positivity_hole_law():
+    from causal_reduce.bn import random_law
+
+    g = parse_graph(POSITIVITY_HOLE_TEXT)
+    bn = random_law(g, {v: 2 for v in g.vertices}, seed=11, epsilon=0.02)
+    table = np.array(bn.cpts["A"])
+    table[0] = (1.0, 0.0)
+    return bn.with_cpt("A", table)
+
+
 @pytest.fixture(scope="session")
 def goldens() -> dict[str, Dag]:
     return {name: parse_graph(text) for name, text in GOLDEN_TEXTS.items()}

@@ -18,6 +18,7 @@ from causal_reduce.bn import (
     derive_seed,
     joint_prob,
     joint_table,
+    marginal,
     random_law,
     sample,
     validate,
@@ -110,6 +111,18 @@ class TestJointProb:
             assert float(table[states]) == pytest.approx(
                 joint_prob_loop(bn, assignment)
             )
+
+    def test_marginal_sums_the_joint(self, rng):
+        for _ in range(10):
+            g = random_dag(rng, 6, 0.5, ensure_assumption=True)
+            cards = {v: int(rng.integers(2, 4)) for v in g.vertices}
+            bn = random_law(g, cards, seed=int(rng.integers(10**6)), epsilon=0.02)
+            keep = list(rng.permutation(g.vertices)[: int(rng.integers(0, 6))])
+            table = joint_table(bn)
+            drop = tuple(i for i, v in enumerate(g.vertices) if v not in keep)
+            rest = [v for v in g.vertices if v in keep]
+            want = np.transpose(table.sum(axis=drop), [rest.index(v) for v in keep])
+            assert np.allclose(marginal(bn, keep), want, rtol=0.0, atol=1e-15)
 
     def test_enumeration_guard(self):
         labels = [f"V{i}" for i in range(30)]

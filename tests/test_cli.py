@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from causal_reduce.bn import random_law, sample, save_bn, dataset_to_csv
+from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
 from causal_reduce.cli import main
 from causal_reduce.graph import parse_graph
 from conftest import MOTIVATING_TEXT, MOTIVATING_FLIPPED_TEXT, golden
@@ -125,6 +125,20 @@ class TestEstimate:
         from causal_reduce.functionals import g_functional_exact
 
         assert payload["value"] == pytest.approx(g_functional_exact(bn, 1))
+
+    def test_unnormalized_bn_is_rejected(self, capsys, tmp_path):
+        g = golden("motivating_slim")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05)
+        payload = bn_to_json(bn)
+        payload["cpts"]["W2"]["table"] = [[0.9, 0.9]]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, ["estimate", "--bn", str(path), "--level", "1", "--estimator", "g"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "'W2'" in err and "sums to 1.8" in err
 
     def test_plugin_on_csv(self, capsys, tmp_path, motivating_file):
         g = golden("motivating")

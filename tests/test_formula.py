@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from causal_reduce.bn import random_law
+from causal_reduce.bn import PositivityError, random_law
 from causal_reduce.formula import derive_gformula, evaluate, parse_json, render
 from causal_reduce.functionals import g_functional_exact
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import AssumptionViolation
 from causal_reduce.criteria import informative_set
 from causal_reduce.graph import parse_graph
-from conftest import LAW_SUITE, golden
+from conftest import LAW_SUITE, golden, positivity_hole_law
 
 
 class TestDerive:
@@ -104,3 +104,14 @@ class TestEvaluate:
         f2 = parse_json(render(f, "json"))
         bn = random_law(g, {v: 2 for v in g.vertices}, seed=1, epsilon=0.05)
         assert evaluate(f, bn, 1) == evaluate(f2, bn, 1)
+
+    def test_positivity_hole_raises(self):
+        # p(y | a, o) at a = 1 is undefined at o = 0, which has weight P(O=0)
+        # > 0; the evaluator raises instead of reading it as 0
+        bn = positivity_hole_law()
+        for g in (bn.graph, reduce(bn.graph).output):
+            with pytest.raises(PositivityError):
+                evaluate(derive_gformula(g), bn, 1)
+        assert evaluate(derive_gformula(bn.graph), bn, 0) == pytest.approx(
+            g_functional_exact(bn, 0), abs=1e-12
+        )

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_reduce.bn import (
     Dataset,
     DiscreteBn,
+    EnumerationLimitError,
     PositivityError,
     ZeroConditioningEvent,
     _broadcast_factor,
     random_law,
     sample,
 )
+from causal_reduce.formula import derive_gformula, evaluate
 from causal_reduce.functionals import (
     EifContext,
     EmptyCellError,
@@ -26,9 +30,10 @@ from causal_reduce.functionals import (
     plugin_adjustment,
     plugin_g,
 )
-from causal_reduce.graph import parse_graph
+from causal_reduce.graph import Dag, parse_graph
 from causal_reduce.reduction import reduce
-from conftest import golden
+from causal_reduce.taxonomy import classify
+from conftest import LAW_SUITE, golden, positivity_hole_law
 
 
 def coin_pair():
@@ -84,6 +89,43 @@ class TestGFunctional:
         )
         with pytest.raises(PositivityError):
             g_functional_exact(bn, 1)
+
+    def test_positivity_hole_raises_on_every_g_route(self):
+        bn = positivity_hole_law()
+        for g in (bn.graph, reduce(bn.graph).output):
+            with pytest.raises(PositivityError):
+                g_functional_for_graph(bn, g, 1)
+        with pytest.raises(PositivityError):
+            g_functional_exact(bn, 1)
+        assert g_functional_for_graph(bn, bn.graph, 0) == pytest.approx(
+            g_functional_exact(bn, 0), abs=1e-12
+        )
+
+    def test_needed_null_event_without_treatment_raises(self):
+        # M copies A, and A=1 never occurs with O=0: p(y | m=1, o=0) is
+        # needed at level 1 but conditions on an event of probability zero
+        g = parse_graph("!treatment A\n!outcome Y\nO -> A\nA -> M\nM -> Y\nO -> Y")
+        bn = DiscreteBn(
+            g,
+            {v: 2 for v in g.vertices},
+            {
+                "O": np.array([0.5, 0.5]),
+                "A": np.array([[1.0, 0.0], [0.3, 0.7]]),
+                "M": np.array([[1.0, 0.0], [0.0, 1.0]]),
+                "Y": np.array([[[0.9, 0.1], [0.4, 0.6]], [[0.7, 0.3], [0.2, 0.8]]]),
+            },
+        )
+        with pytest.raises(ZeroConditioningEvent):
+            g_functional_for_graph(bn, g, 1)
+
+    def test_undefined_cells_without_weight_are_not_needed(self):
+        # O never takes state 2, so p(y | a, o=2) is undefined but unused
+        g = golden("two_adjusters")
+        bn = random_law(g, {"A": 2, "Y": 2, "O1": 3, "O2": 2}, seed=4, epsilon=0.02)
+        bn = bn.with_cpt("O1", np.array([0.4, 0.6, 0.0]))
+        want = g_functional_exact(bn, 1)
+        assert abs(g_functional_for_graph(bn, g, 1) - want) <= 1e-12
+        assert abs(adjustment_exact(bn, {"O1", "O2"}, 1) - want) <= 1e-12
 
     def test_for_graph_matches_reduced_marginal(self):
         g = golden("motivating")
@@ -337,3 +379,99 @@ class TestPlugins:
         assert plugin_g(ds, sub, 1).value == pytest.approx(
             plugin_g(ds, red, 1).value
         )
+
+
+# -- every exact route against every other ------------------------------------
+
+def _outcome(call):
+    try:
+        return call()
+    except (PositivityError, ZeroConditioningEvent) as exc:
+        return type(exc)
+
+
+@given(
+    st.sampled_from(LAW_SUITE),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=2**27 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_routes_agree_or_raise(name, seed, zero_rows):
+    """Random laws whose treatment CPT has P(A=1 | row) = 0 on the rows set
+    in ``zero_rows``."""
+    g = golden(name)
+    gen = np.random.default_rng(seed)
+    cards = {v: int(gen.integers(2, 4)) for v in g.vertices}
+    bn = random_law(g, cards, seed=seed, epsilon=0.02)
+    table = np.array(bn.cpts["A"])
+    rows = table.reshape(-1, cards["A"])
+    for r in range(rows.shape[0]):
+        if zero_rows >> r & 1:
+            rows[r] = 0.0
+            rows[r, 0] = 1.0
+    bn = bn.with_cpt("A", table)
+    red = reduce(g).output
+    out = {
+        "g_functional_exact": _outcome(lambda: g_functional_exact(bn, 1)),
+        "g_functional_for_graph": _outcome(lambda: g_functional_for_graph(bn, red, 1)),
+        "adjustment_exact": _outcome(lambda: adjustment_exact(bn, classify(g).o, 1)),
+        "evaluate": _outcome(lambda: evaluate(derive_gformula(red), bn, 1)),
+    }
+    # a route returns the network's interventional mean or raises
+    from oracles import g_functional_loop
+
+    truth = g_functional_loop(bn, 1)
+    values = [v for v in out.values() if isinstance(v, float)]
+    assert all(abs(v - truth) <= 1e-10 for v in values), (truth, out)
+    # the reduced-graph functional and the evaluator are one computation
+    assert type(out["g_functional_for_graph"]) is type(out["evaluate"])
+    # positivity of P(A=1 | pa(A)) implies positivity given any set of
+    # non-descendants of A, so when the network's own check passes every
+    # route returns a value
+    if isinstance(out["g_functional_exact"], float):
+        assert len(values) == len(out), out
+
+    # the variance bound over the influence function's support U equals the
+    # one over the dense joint of every vertex
+    dense = _outcome(lambda: EifContext.build(bn, 1))
+    got = _outcome(lambda: eif_variance(bn, 1))
+    if isinstance(dense, EifContext):
+        want = float((dense.joint * dense.values**2).sum())
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    else:
+        assert got is dense
+
+
+# -- graphs past the dense joint -----------------------------------------------
+
+def chain_law(n=60, seed=3):
+    """W1 -> ... -> W{n-2} -> A -> Y with W{n-2} -> Y: n binary vertices."""
+    ws = [f"W{i}" for i in range(1, n - 1)]
+    edges = list(zip(ws, ws[1:])) + [(ws[-1], "A"), ("A", "Y"), (ws[-1], "Y")]
+    g = Dag(ws + ["A", "Y"], edges, "A", "Y")
+    return random_law(g, {v: 2 for v in g.vertices}, seed=seed, epsilon=0.02), ws
+
+
+class TestChainPastDenseJoint:
+    def test_g_routes_match_transition_matrices(self):
+        bn, ws = chain_law()
+        assert len(bn.graph.vertices) == 60
+        p = bn.cpts[ws[0]]
+        for w in ws[1:]:
+            p = p @ bn.cpts[w]
+        want = float(p @ bn.cpts["Y"][:, 1, 1])
+        red = reduce(bn.graph).output
+        assert set(red.vertices) == {ws[-1], "A", "Y"}
+        assert abs(g_functional_exact(bn, 1) - want) <= 1e-12
+        assert abs(g_functional_for_graph(bn, red, 1) - want) <= 1e-12
+        assert abs(evaluate(derive_gformula(red), bn, 1) - want) <= 1e-12
+        assert eif_variance_for_graph(bn, red, 1) >= 0.0
+
+    def test_needed_marginal_past_the_limit_raises(self):
+        bn, ws = chain_law()
+        # a marginal over 26 binary vertices has 2**26 > 10**7 cells
+        with pytest.raises(EnumerationLimitError):
+            adjustment_exact(bn, ws[-26:], 1)
+        # the influence function of the full chain depends on every vertex
+        with pytest.raises(EnumerationLimitError):
+            eif_variance(bn, 1)
