@@ -13,7 +13,6 @@ from .graph import (
     descendants,
     format_graph,
     has_causal_path,
-    inducing_path_exists,
     parents,
     parse_graph,
     topo_sort,

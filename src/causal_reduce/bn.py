@@ -408,12 +408,16 @@ class Dataset:
         rows = np.asarray(self.rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.columns):
             raise ValueError("rows must be an (n, len(columns)) integer array")
+        dup = sorted({c for c in self.columns if self.columns.count(c) > 1})
+        if dup:
+            raise ValueError(f"duplicate column labels {dup}")
         object.__setattr__(self, "rows", rows)
+        if rows.size and rows.min() < 0:
+            j = int(rows.min(axis=0).argmin())
+            raise ValueError(f"negative state {rows[:, j].min()} in column {self.columns[j]!r}")
         for j, name in enumerate(self.columns):
             card = self.cards.get(name)
-            if card is not None and rows.size and (
-                rows[:, j].min() < 0 or rows[:, j].max() >= card
-            ):
+            if card is not None and rows.size and rows[:, j].max() >= card:
                 raise ValueError(f"states of {name!r} outside 0..{card - 1}")
 
     @property
@@ -421,6 +425,8 @@ class Dataset:
         return int(self.rows.shape[0])
 
     def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise GraphError(f"dataset has no column {name!r}")
         return self.rows[:, self.columns.index(name)]
 
     def card(self, name: str) -> int:
@@ -520,9 +526,22 @@ def dataset_to_csv(ds: Dataset, path: str) -> None:
 
 
 def dataset_from_csv(path: str, cards: Mapping[str, int] | None = None) -> Dataset:
+    """A header of column labels, then one row of integer states per
+    observation; blank lines are skipped.  A missing header, a header with
+    no rows, or a row that is ragged or not integer raises ``ValueError``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[int(x) for x in row] for row in reader if row]
-    data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(header))
-    return Dataset(tuple(header), data, dict(cards or {}))
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: no header line")
+        rows = []
+        for row in (r for r in reader if r):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                rows.append([int(x) for x in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: header but no data rows")
+    return Dataset(tuple(header), np.asarray(rows, dtype=np.int64), dict(cards or {}))

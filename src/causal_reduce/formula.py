@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .bn import DiscreteBn
-from .functionals import _g_formula
+from .functionals import _g_formula_exact
 from .graph import Dag, GraphError, ancestors, topo_sort
 
 __all__ = ["GFormula", "Factor", "derive_gformula", "render", "parse_json", "evaluate"]
@@ -182,4 +182,4 @@ def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
         raise GraphError("formula references more than one non-summed label")
     treatment = treat_labels.pop() if treat_labels else bn.graph.treatment
     factors = [(fa.child, fa.parents) for fa in f.factors]
-    return _g_formula(bn, factors, treatment, f.outcome, a)
+    return _g_formula_exact(bn, factors, treatment, f.outcome, a)

@@ -6,13 +6,17 @@ Every exact routine contracts the CPTs of a
 (:func:`~causal_reduce.bn.contract`); none builds the joint over all
 vertices.  ``ENUMERATION_LIMIT`` (10**7 cells) bounds the largest table
 formed.  A conditional that a formula needs on an event of probability zero
-raises; none is filled in.  All routines are pure given their inputs.
+raises; none is filled in.  The plugin estimators are the same formulas
+with each table read from counts instead of from the law.  All routines are
+pure given their inputs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +25,6 @@ from .bn import (
     DiscreteBn,
     PositivityError,
     ZeroConditioningEvent,
-    _broadcast_factor,
     check_enumerable,
     contract,
     cpt_factors,
@@ -57,14 +60,11 @@ class EmptyCellError(ValueError):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """An estimator value, optionally with replication statistics."""
+    """An estimator's value on a dataset of ``n`` rows."""
 
     estimator: str
     value: float
     n: int
-    rep_mean: float | None = None
-    rep_variance: float | None = None
-    n_times_variance: float | None = None
 
 
 def _sum_to(joint: np.ndarray, labels: Sequence[str], keep: Iterable[str]) -> np.ndarray:
@@ -81,15 +81,22 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / np.where(den > 0.0, den, 1.0)
 
 
-def _require(weight: np.ndarray, den: np.ndarray, error: type, message: str) -> None:
+def _require(
+    weight: np.ndarray, den: np.ndarray, error: type, message: str,
+    where: tuple[str, Sequence[int]] = ("", ()),
+) -> None:
     """The one positivity check: raise ``error`` where ``den`` is 0 on a
-    cell that ``weight`` gives positive probability."""
+    cell that ``weight`` gives positive probability.  ``where`` names the
+    conditioning event and the axes of its states; the error's ``cell`` is
+    that name with the states of the first such cell."""
     bad = den <= 0.0
     if bad.any():
         bad = bad & (weight > 0.0)
         if bad.any():
             at = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise error(f"{message} (cell {at})")
+            exc = error(f"{message} (cell {at})")
+            exc.cell = (where[0], tuple(at[i] for i in where[1]))
+            raise exc
 
 
 def _expect_given(
@@ -142,22 +149,26 @@ def g_functional_exact(bn: DiscreteBn, a: int) -> float:
 
 
 def _g_formula(
-    bn: DiscreteBn, factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int
+    law: Callable[[set[str]], np.ndarray], labels: Sequence[str], cards: Mapping[str, int],
+    factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int,
 ) -> float:
     """A truncated factorization, one ``(child, parents)`` factor per summed
-    vertex, with every conditional read from the law of ``bn`` over the
-    formula's vertices and the treatment fixed at ``a`` where it is a parent.
+    vertex, with the treatment fixed at ``a`` where it is a parent.  Each
+    conditional is read from ``law(keep)``: a law, or counts, over the
+    formula's ``labels`` summed down to ``keep`` (the other axes kept as
+    size 1).
 
     A needed conditional on a zero-probability event raises: with the
     treatment among its parents it is a :class:`PositivityError`, otherwise
-    a :class:`ZeroConditioningEvent`.
+    a :class:`ZeroConditioningEvent`; the error's ``cell`` is the child with
+    the state of its other parents.
     """
-    _check_level(bn.cards, treat, a)
-    labels, joint = _law_over(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
+    _check_level(cards, treat, a)
+    check_enumerable(cards[v] for v in labels if v != treat)
     total = np.ones([1] * len(labels))
     undefined = []
     for child, parents in factors:
-        num = _sum_to(joint, labels, {child, *parents})
+        num = law({child, *parents})
         if treat in parents:
             num = num.take([a], axis=labels.index(treat))
         den = num.sum(axis=labels.index(child), keepdims=True)
@@ -173,8 +184,17 @@ def _g_formula(
     for child, parents, den in undefined:
         error = PositivityError if treat in parents else ZeroConditioningEvent
         message = f"p({child} | {', '.join(parents)}) at {treat}={a} needs a null event"
-        _require(total, den, error, message)
-    return float((total * _value_axis(labels, bn.cards, y)).sum())
+        given = [i for i, v in enumerate(labels) if v in parents and v != treat]
+        _require(total, den, error, message, (child, given))
+    return float((total * _value_axis(labels, cards, y)).sum())
+
+
+def _g_formula_exact(
+    bn: DiscreteBn, factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int
+) -> float:
+    """:func:`_g_formula` read from the law of ``bn`` over its vertices."""
+    labels, joint = _law_over(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
+    return _g_formula(partial(_sum_to, joint, labels), labels, bn.cards, factors, treat, y, a)
 
 
 def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
@@ -186,7 +206,26 @@ def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     """
     treat = graph.treatment
     factors = [(v, graph.parent_list(v)) for v in graph.vertices if v != treat]
-    return _g_formula(bn, factors, treat, graph.outcome, a)
+    return _g_formula_exact(bn, factors, treat, graph.outcome, a)
+
+
+def _adjustment(
+    labels: Sequence[str], joint: np.ndarray, Ls: set[str], treat: str, y: str, a: int
+) -> float:
+    """Sum over l of E[Y | A=a, L=l] P(l), with ``joint`` the law over
+    ``labels`` = L ∪ {A, Y}.  A needed P(A=a, L=l) = 0 raises
+    :class:`ZeroConditioningEvent`, whose ``cell`` is L with the state l."""
+    cards = dict(zip(labels, joint.shape))
+    _check_level(cards, treat, a)
+    Ls = [v for v in labels if v in Ls]
+    y_vals = _value_axis(labels, cards, y)
+    p_l = _sum_to(joint, labels, Ls)
+    at_a = np.take(joint, [a], axis=labels.index(treat))
+    den = _sum_to(at_a, labels, Ls)
+    message = f"P({treat}={a}, L=l) = 0 for some l with P(l) > 0"
+    where = (",".join(Ls), [labels.index(v) for v in Ls])
+    _require(p_l, den, ZeroConditioningEvent, message, where)
+    return float((_ratio(_sum_to(at_a * y_vals, labels, Ls), den) * p_l).sum())
 
 
 def adjustment_exact(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
@@ -194,13 +233,7 @@ def adjustment_exact(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
     g = bn.graph
     Ls = _as_set(g, L)
     labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
-    y_vals = _value_axis(labels, bn.cards, g.outcome)
-    p_l = _sum_to(joint, labels, Ls)
-    at_a = np.take(joint, [a], axis=labels.index(g.treatment))
-    den = _sum_to(at_a, labels, Ls)
-    message = f"P({g.treatment}={a}, L=l) = 0 for some l with P(l) > 0"
-    _require(p_l, den, ZeroConditioningEvent, message)
-    return float((_ratio(_sum_to(at_a * y_vals, labels, Ls), den) * p_l).sum())
+    return _adjustment(labels, joint, Ls, g.treatment, g.outcome, a)
 
 
 def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
@@ -371,33 +404,28 @@ def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
 
 # -- plugin estimators -------------------------------------------------------
 
-def _empirical_cpts(
-    ds: Dataset, g: Dag, laplace: float | None
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, int]]:
-    cards = {}
-    for v in g.vertices:
-        if v not in ds.columns:
-            raise GraphError(f"dataset has no column {v!r}")
-        cards[v] = ds.card(v)
-    cpts: dict[str, np.ndarray] = {}
-    defined: dict[str, np.ndarray] = {}
-    for v in g.vertices:
-        parents = g.parent_list(v)
-        shape = tuple(cards[p] for p in parents) + (cards[v],)
-        cols = [ds.column(p) for p in parents] + [ds.column(v)]
-        flat = np.ravel_multi_index(cols, shape)
-        counts = np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
-        counts = counts.astype(float)
-        if laplace is not None:
-            counts = counts + laplace
-        denom = counts.sum(axis=-1, keepdims=True)
-        ok = denom > 0.0
-        # undefined rows carry a neutral placeholder of 1.0 so that, during
-        # the truncated-factorization sum, only the *defined* factors decide
-        # whether a configuration carries weight (and hence needs the cell)
-        cpts[v] = np.where(ok, counts / np.where(ok, denom, 1.0), 1.0)
-        defined[v] = ok[..., 0]
-    return cpts, defined, cards
+def _counts(
+    ds: Dataset, labels: Sequence[str], cards: Mapping[str, int], keep: Iterable[str],
+    add: float = 0.0,
+) -> np.ndarray:
+    """The counts of the states of the ``keep`` columns of ``ds``, plus
+    ``add``, as a table over ``labels`` with the other axes kept as size 1."""
+    axes = [v for v in labels if v in keep]
+    shape = [cards[v] for v in axes]
+    flat = np.ravel_multi_index([ds.column(v) for v in axes], shape)
+    counts = np.bincount(flat, minlength=int(np.prod(shape))) + add
+    return counts.reshape([cards[v] if v in keep else 1 for v in labels])
+
+
+@contextmanager
+def _empty_cells() -> Iterator[None]:
+    """Re-raise a kernel's null-event error, met on counts, as the
+    :class:`EmptyCellError` of an unobserved cell."""
+    try:
+        yield
+    except (PositivityError, ZeroConditioningEvent) as exc:
+        message = f"no observations at needed cell {exc.cell}: {exc}"
+        raise EmptyCellError(message, [exc.cell]) from exc
 
 
 def plugin_g(
@@ -405,88 +433,31 @@ def plugin_g(
 ) -> EstimateReport:
     """Maximum-likelihood plugin of the g-formula under ``g``.
 
-    Builds empirical conditionals per the graph's factorization and runs the
-    truncated-factorization sum.  Any conditioning cell that carries positive
-    weight but was never observed raises :class:`EmptyCellError`; pass
-    ``laplace`` to smooth instead (explicit opt-in).
+    The g-formula kernel with each conditional read from the counts of its
+    family's columns.  A conditioning cell that carries positive weight but
+    was never observed raises :class:`EmptyCellError`, whose ``cells`` hold
+    the child with the state of its other parents; pass ``laplace`` to add
+    it to every family count instead (explicit opt-in).
     """
-    cpts, defined, cards = _empirical_cpts(dataset, g, laplace)
-    treat = g.treatment
-    labels = [v for v in g.vertices if v != treat]
-    check_enumerable(cards[v] for v in labels)
-    if not 0 <= a < cards[treat]:
-        raise GraphError(f"treatment level {a} out of range")
-    total = np.ones([cards[v] for v in labels])
-    undef_masks: list[tuple[str, np.ndarray]] = []
-    for v in labels:
-        parent_axes = list(g.parent_list(v))
-        table = cpts[v]
-        mask = ~defined[v]
-        if treat in parent_axes:
-            axis = parent_axes.index(treat)
-            table = np.take(table, a, axis=axis)
-            mask = np.take(mask, a, axis=axis)
-            parent_axes.remove(treat)
-        total = total * _broadcast_factor(labels, cards, parent_axes + [v], table)
-        if mask.any():
-            undef_masks.append(
-                (v, _broadcast_factor(labels, cards, parent_axes, mask.astype(bool)))
-            )
-    cells: list[tuple[str, tuple[int, ...]]] = []
-    for v, mask in undef_masks:
-        hit = (total > 0.0) & mask
-        if hit.any():
-            parents = set(g.parent_list(v)) - {treat}
-            drop = tuple(i for i, name in enumerate(labels) if name not in parents)
-            flat = hit.any(axis=drop) if drop else hit
-            for state in np.argwhere(np.atleast_1d(flat))[:5]:
-                cells.append((v, tuple(int(s) for s in state)))
-    if cells:
-        detail = ", ".join(f"{v}|parents={st}" for v, st in cells)
-        raise EmptyCellError(
-            f"empirical conditionals undefined at needed cells: {detail}", cells
-        )
-    y_vals = _value_axis(labels, cards, g.outcome)
-    value = float((total * y_vals).sum())
-    return EstimateReport(estimator="g_formula", value=value, n=dataset.n)
+    labels = list(g.vertices)
+    cards = {v: dataset.card(v) for v in labels}
+    law = partial(_counts, dataset, labels, cards, add=laplace or 0.0)
+    factors = [(v, g.parent_list(v)) for v in labels if v != g.treatment]
+    with _empty_cells():
+        value = _g_formula(law, labels, cards, factors, g.treatment, g.outcome, a)
+    return EstimateReport("g_formula", value, dataset.n)
 
 
 def plugin_adjustment(
     dataset: Dataset, g: Dag, L: Iterable[str], a: int
 ) -> EstimateReport:
-    """Empirical adjustment estimator: sum over l of mean(Y | A=a, L=l) P_n(l)."""
-    Ls = [v for v in g.vertices if v in set(L)]
-    for v in set(L):
-        g._check(v)
-    a_col = dataset.column(g.treatment)
-    y_col = dataset.column(g.outcome)
-    n = dataset.n
-    if not Ls:
-        mask = a_col == a
-        if not mask.any():
-            raise EmptyCellError(
-                f"no observations with {g.treatment}={a}", [(g.treatment, (a,))]
-            )
-        return EstimateReport("adjustment", float(y_col[mask].mean()), n)
-    shape = tuple(dataset.card(v) for v in Ls)
-    flat = np.ravel_multi_index([dataset.column(v) for v in Ls], shape)
-    size = int(np.prod(shape))
-    n_l = np.bincount(flat, minlength=size).astype(float)
-    at_a = (a_col == a).astype(float)
-    n_al = np.bincount(flat, weights=at_a, minlength=size)
-    y_al = np.bincount(flat, weights=at_a * y_col, minlength=size)
-    needed = n_l > 0
-    missing = needed & (n_al == 0)
-    if missing.any():
-        states = [
-            (",".join(Ls), tuple(int(s) for s in np.unravel_index(i, shape)))
-            for i in np.nonzero(missing)[0][:5]
-        ]
-        raise EmptyCellError(
-            f"no observations with {g.treatment}={a} at L states "
-            f"{[st for _, st in states]}",
-            states,
-        )
-    safe = np.where(needed & (n_al > 0), n_al, 1.0)
-    value = float(np.where(needed, y_al / safe * (n_l / n), 0.0).sum())
-    return EstimateReport("adjustment", value, n)
+    """Empirical adjustment estimator: sum over l of mean(Y | A=a, L=l) P_n(l),
+    the adjustment formula on the empirical law.  An L state seen without
+    A=a raises :class:`EmptyCellError`."""
+    Ls = _as_set(g, L)
+    labels = [v for v in g.vertices if v in Ls | {g.treatment, g.outcome}]
+    cards = {v: dataset.card(v) for v in labels}
+    joint = _counts(dataset, labels, cards, labels) / dataset.n
+    with _empty_cells():
+        value = _adjustment(labels, joint, Ls, g.treatment, g.outcome, a)
+    return EstimateReport("adjustment", value, dataset.n)

@@ -27,7 +27,6 @@ __all__ = [
     "children",
     "d_separated",
     "has_causal_path",
-    "inducing_path_exists",
 ]
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -130,10 +129,6 @@ class Dag:
     @property
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return self._edge_set
-
-    def declaration_index(self, v: str) -> int:
-        self._check(v)
-        return self._index[v]
 
     def topo_index(self, v: str) -> int:
         self._check(v)
@@ -387,49 +382,4 @@ def has_causal_path(
                 continue
             seen.add(c)
             stack.append(c)
-    return False
-
-
-def inducing_path_exists(
-    g: Dag, a: str, b: str, c: Iterable[str] = ()
-) -> bool:
-    """True iff some path from ``a`` to ``b`` has no non-collider in ``c``
-    and every collider ancestral to ``{a, b}``.
-
-    A single edge counts as a trivial inducing path.  Exhaustive simple-path
-    search; intended for desk-scale graphs.
-    """
-    g._check(a)
-    g._check(b)
-    cs = _as_set(g, c)
-    if a == b:
-        raise GraphError("inducing path endpoints must differ")
-    if a in cs or b in cs:
-        raise GraphError("endpoints may not belong to the conditioning set")
-    an_ab = ancestors(g, {a, b})
-
-    def step(v: str, into_v: bool, path: set[str]) -> bool:
-        # v is an interior vertex entered via an edge pointing into it iff
-        # into_v; try all continuations.
-        for u in g.children(v) | g.parents(v):
-            if u in path:
-                continue
-            out_into_v = g.has_edge(u, v)  # next edge points into v
-            collider = into_v and out_into_v
-            if collider and v not in an_ab:
-                continue
-            if not collider and v in cs:
-                continue
-            into_u = g.has_edge(v, u)
-            if u == b:
-                return True
-            if step(u, into_u, path | {u}):
-                return True
-        return False
-
-    for u in g.children(a) | g.parents(a):
-        if u == b:
-            return True
-        if step(u, g.has_edge(a, u), {a, u}):
-            return True
     return False

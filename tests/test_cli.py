@@ -172,6 +172,63 @@ class TestEstimate:
         assert code == 2
 
 
+CONFOUNDED_TEXT = "!treatment A\n!outcome Y\nO -> A\nO -> Y\nA -> Y\n"
+
+# A = 1 is seen only with O = 0, so p(Y | O=1, A=1) is an empty cell that
+# both estimators need.
+EMPTY_CELL_CSV = "O,A,Y\n0,1,1\n0,0,0\n1,0,1\n1,0,0\n"
+
+
+def estimate_on_csv(capsys, tmp_path, text, estimator):
+    graph_path = tmp_path / "confounded.graph"
+    graph_path.write_text(CONFOUNDED_TEXT)
+    data_path = tmp_path / "d.csv"
+    data_path.write_text(text)
+    argv = ["estimate", "--data", str(data_path), "--graph", str(graph_path)]
+    argv += ["--level", "1", "--estimator", estimator]
+    if estimator == "adjustment":
+        argv += ["--adjust", "O"]
+    return run(capsys, argv)
+
+
+class TestDataInput:
+    @pytest.mark.parametrize("estimator", ["g", "adjustment"])
+    def test_empty_cell_is_input_error(self, capsys, tmp_path, estimator):
+        code, out, err = estimate_on_csv(capsys, tmp_path, EMPTY_CELL_CSV, estimator)
+        assert code == 2
+        assert out == ""
+        assert "no observations" in err
+
+    def test_negative_state_rejected(self, capsys, tmp_path):
+        text = "O,A,Y\n0,1,1\n0,1,-1\n1,1,0\n1,0,1\n0,0,0\n"
+        code, out, err = estimate_on_csv(capsys, tmp_path, text, "adjustment")
+        assert code == 2 and out == ""
+        assert "negative state -1 in column 'Y'" in err
+
+    def test_header_without_rows_rejected(self, capsys, tmp_path):
+        code, out, err = estimate_on_csv(capsys, tmp_path, "O,A,Y\n", "adjustment")
+        assert code == 2 and out == ""
+        assert "no data rows" in err
+
+    def test_duplicate_labels_rejected(self, capsys, tmp_path):
+        text = "O,A,A\n0,1,1\n1,0,0\n"
+        code, out, err = estimate_on_csv(capsys, tmp_path, text, "adjustment")
+        assert code == 2 and out == ""
+        assert "duplicate column labels ['A']" in err
+
+    def test_ragged_row_rejected_with_line(self, capsys, tmp_path):
+        text = "O,A,Y\n0,1,1\n1,0\n"
+        code, out, err = estimate_on_csv(capsys, tmp_path, text, "g")
+        assert code == 2 and out == ""
+        assert "line 3" in err and "2 fields, expected 3" in err
+
+    def test_non_integer_row_rejected_with_line(self, capsys, tmp_path):
+        text = "O,A,Y\n0,1,1\n1,0,0\n1,0.5,1\n"
+        code, out, err = estimate_on_csv(capsys, tmp_path, text, "g")
+        assert code == 2 and out == ""
+        assert "line 4" in err and "invalid literal for int()" in err
+
+
 class TestSimulate:
     def test_small_run_json(self, capsys, tmp_path):
         dest = tmp_path / "sim.json"

@@ -356,12 +356,26 @@ class TestPlugins:
         with pytest.raises(EmptyCellError):
             plugin_adjustment(ds, g, set(), 1)
 
+    def test_empty_cell_names_the_cell(self):
+        # A = 1 is seen only with O = 0, so both estimators need the
+        # unobserved conditioning cell O = 1, A = 1
+        g = parse_graph("!treatment A\n!outcome Y\nO -> A\nO -> Y\nA -> Y")
+        rows = np.array([[0, 1, 1], [0, 0, 0], [1, 0, 1], [1, 0, 0]])
+        ds = Dataset(("O", "A", "Y"), rows, {"O": 2, "A": 2, "Y": 2})
+        with pytest.raises(EmptyCellError) as err:
+            plugin_g(ds, g, 1)
+        assert err.value.cells == [("Y", (1,))]
+        with pytest.raises(EmptyCellError) as err:
+            plugin_adjustment(ds, g, {"O"}, 1)
+        assert err.value.cells == [("O", (1,))]
+
     def test_laplace_opt_in(self):
         g = golden("trivial")
         rows = np.array([[0, 0], [0, 1]])
         ds = Dataset(("A", "Y"), rows, {"A": 2, "Y": 2})
+        # the unobserved row A = 1 reads (0 + 1) / (0 + 2)
         report = plugin_g(ds, g, 1, laplace=1.0)
-        assert 0.0 <= report.value <= 1.0
+        assert report.value == 0.5
 
     def test_plugin_consistency(self):
         bn = rational_front_door_law()

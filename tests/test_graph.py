@@ -18,7 +18,6 @@ from causal_reduce.graph import (
     descendants,
     format_graph,
     has_causal_path,
-    inducing_path_exists,
     parents,
     parse_graph,
     topo_sort,
@@ -213,34 +212,6 @@ class TestCausalPath:
             assert has_causal_path(g, frm, to, avoid) == causal_path_oracle(
                 g, frm, to, avoid
             )
-
-
-class TestInducingPath:
-    def test_edge_is_trivial_inducing_path(self):
-        assert inducing_path_exists(golden("trivial"), "A", "Y", set())
-
-    def test_non_ancestral_collider(self):
-        g = parse_graph("!treatment A\n!outcome B\nA -> C\nB -> C\nA -> B")
-        # path A -> C <- B has its collider non-ancestral to {A, B}
-        g2 = Dag(["A", "B", "C"], [("A", "C"), ("B", "C"), ("A", "B")], "A", "B")
-        assert g == g2
-        g3 = Dag(["A", "B", "C"], [("A", "C"), ("B", "C")], "A", "B")
-        assert not inducing_path_exists(g3, "A", "B", set())
-
-    def test_implies_d_connection(self, rng):
-        for _ in range(100):
-            g = random_dag(rng, 6, 0.4)
-            vs = list(g.vertices)
-            rng.shuffle(vs)
-            a, b = vs[0], vs[1]
-            c = set(vs[2 : 2 + int(rng.integers(0, 4))])
-            if inducing_path_exists(g, a, b, c):
-                assert not d_separated(g, {a}, {b}, c)
-
-    def test_endpoint_in_conditioning_set_rejected(self):
-        g = golden("trivial")
-        with pytest.raises(GraphError):
-            inducing_path_exists(g, "A", "Y", {"A"})
 
 
 class TestEquality:
