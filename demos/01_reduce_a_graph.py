@@ -36,10 +36,10 @@ print("  optimal adjustment (O)  :", sorted(tax.o))
 print("  minimal subset (O_min)  :", sorted(tax.o_min))
 print()
 
-# Step 2: test each candidate covariate. W4 turns out to be uninformative
-# even though it sits right between the confounders and the treatment.
-for v in sorted(tax.w - tax.o):
-    verdict = cr.w_criterion(g, tax, v)
+# Step 2: judge each candidate covariate (W outside O) and mediator (M
+# outside Y). W4 turns out to be uninformative even though it sits right
+# between the confounders and the treatment.
+for v, verdict in cr.criterion_verdicts(g, tax).items():
     status = "uninformative" if verdict.satisfied else (
         f"informative (fails clause {verdict.failed_clause})"
     )

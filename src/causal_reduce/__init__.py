@@ -18,7 +18,13 @@ from .graph import (
     topo_sort,
 )
 from .taxonomy import AssumptionViolation, Taxonomy, classify, minimal_dseparator_within
-from .criteria import CriterionVerdict, informative_set, m_criterion, w_criterion
+from .criteria import (
+    CriterionVerdict,
+    criterion_verdicts,
+    informative_set,
+    m_criterion,
+    w_criterion,
+)
 from .reduction import (
     LatentProjectionView,
     ReductionReport,

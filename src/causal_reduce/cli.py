@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from . import bn as bnmod
-from .criteria import m_criterion, w_criterion
+from .criteria import CriterionVerdict, criterion_verdicts
 from .equivalence import causal_markov_equivalent, markov_equivalent
 from .formula import derive_gformula, render
 from .functionals import (
@@ -27,7 +27,7 @@ from .functionals import (
 from .graph import Dag, GraphError, format_graph, parse_graph
 from .reduction import reduce
 from .simulate import DEFAULTS, SimConfig, run_simulation, sim_table_to_dict
-from .taxonomy import AssumptionViolation, classify
+from .taxonomy import AssumptionViolation, Taxonomy, classify
 
 _ORDERED = ("N", "I", "W", "M", "O", "O_min")
 
@@ -65,30 +65,22 @@ def _cmd_taxonomy(args) -> int:
     return 0
 
 
+def _verdict_payload(verdict: CriterionVerdict, tax: Taxonomy) -> dict:
+    return {
+        "vertex": verdict.vertex,
+        "set": "W" if verdict.vertex in tax.w else "M",
+        "satisfied": verdict.satisfied,
+        "failed_clause": verdict.failed_clause,
+        "failed_index": verdict.failed_index,
+        "chain": list(verdict.chain),
+    }
+
+
 def _cmd_check(args) -> int:
     g = _read_graph(args.graph)
     tax = classify(g)
-    verdicts = []
-    for v in g.vertices:
-        if v in tax.w - tax.o:
-            verdict = w_criterion(g, tax, v)
-            kind = "W"
-        elif v in tax.m - {g.outcome}:
-            verdict = m_criterion(g, tax, v)
-            kind = "M"
-        else:
-            continue
-        verdicts.append(
-            {
-                "vertex": v,
-                "set": kind,
-                "satisfied": verdict.satisfied,
-                "failed_clause": verdict.failed_clause,
-                "failed_index": verdict.failed_index,
-                "chain": list(verdict.chain),
-            }
-        )
-    _emit(verdicts, args.json)
+    verdicts = criterion_verdicts(g, tax)
+    _emit([_verdict_payload(d, tax) for d in verdicts.values()], args.json)
     return 0
 
 
@@ -106,6 +98,7 @@ def _cmd_reduce(args) -> int:
     report = reduce(g)
     sys.stdout.write(format_graph(report.output))
     if args.report:
+        tax = classify(g)
         payload = {
             "input": _graph_payload(report.input),
             "output": _graph_payload(report.output),
@@ -113,6 +106,7 @@ def _cmd_reduce(args) -> int:
                 {"vertex": v, "reason": reason, "pi": list(pi)}
                 for v, reason, pi in report.removed
             ],
+            "verdicts": [_verdict_payload(d, tax) for d in report.verdicts.values()],
         }
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

@@ -17,6 +17,7 @@ __all__ = [
     "CriterionVerdict",
     "w_criterion",
     "m_criterion",
+    "criterion_verdicts",
     "informative_set",
 ]
 
@@ -82,15 +83,23 @@ def m_criterion(g: Dag, tax: Taxonomy, mi: str) -> CriterionVerdict:
     return _check_chain(g, mi, chain, targets)
 
 
+def criterion_verdicts(g: Dag, tax: Taxonomy) -> dict[str, CriterionVerdict]:
+    """The verdict of every vertex of W \\ O (W-criterion) and of M \\ {Y}
+    (M-criterion) on ``g`` with taxonomy ``tax``, in declaration order."""
+    w_out, m_out = tax.w - tax.o, tax.m - {g.outcome}
+    verdicts = {}
+    for v in g.vertices:
+        if v in w_out:
+            verdicts[v] = w_criterion(g, tax, v)
+        elif v in m_out:
+            verdicts[v] = m_criterion(g, tax, v)
+    return verdicts
+
+
 def informative_set(g: Dag) -> frozenset[str]:
     """The irreducible informative vertex set: {A, Y} and O plus every W or M
     vertex that fails its criterion."""
     tax = classify(g)
-    keep = {g.treatment, g.outcome} | tax.o
-    for wj in tax.w - tax.o:
-        if not w_criterion(g, tax, wj).satisfied:
-            keep.add(wj)
-    for mi in tax.m - {g.outcome}:
-        if not m_criterion(g, tax, mi).satisfied:
-            keep.add(mi)
-    return frozenset(keep)
+    verdicts = criterion_verdicts(g, tax).values()
+    failed = {verdict.vertex for verdict in verdicts if not verdict.satisfied}
+    return frozenset({g.treatment, g.outcome} | tax.o | failed)

@@ -417,6 +417,16 @@ def _counts(
     return counts.reshape([cards[v] if v in keep else 1 for v in labels])
 
 
+def _data_cards(ds: Dataset, labels: Sequence[str], treat: str, a: int) -> dict[str, int]:
+    """The cardinality of each of ``labels`` in ``ds``.  An undeclared
+    treatment reaches at least level ``a``: a level that no row shows is an
+    empty cell, not a level out of range."""
+    cards = {v: ds.card(v) for v in labels}
+    if treat not in ds.cards:
+        cards[treat] = max(cards[treat], a + 1)
+    return cards
+
+
 @contextmanager
 def _empty_cells() -> Iterator[None]:
     """Re-raise a kernel's null-event error, met on counts, as the
@@ -440,7 +450,7 @@ def plugin_g(
     it to every family count instead (explicit opt-in).
     """
     labels = list(g.vertices)
-    cards = {v: dataset.card(v) for v in labels}
+    cards = _data_cards(dataset, labels, g.treatment, a)
     law = partial(_counts, dataset, labels, cards, add=laplace or 0.0)
     factors = [(v, g.parent_list(v)) for v in labels if v != g.treatment]
     with _empty_cells():
@@ -456,7 +466,7 @@ def plugin_adjustment(
     A=a raises :class:`EmptyCellError`."""
     Ls = _as_set(g, L)
     labels = [v for v in g.vertices if v in Ls | {g.treatment, g.outcome}]
-    cards = {v: dataset.card(v) for v in labels}
+    cards = _data_cards(dataset, labels, g.treatment, a)
     joint = _counts(dataset, labels, cards, labels) / dataset.n
     with _empty_cells():
         value = _adjustment(labels, joint, Ls, g.treatment, g.outcome, a)

@@ -1,20 +1,21 @@
 """Graph reduction: saturating vertex projections and the reduction loop.
 
 Removes non-ancestors and indirect ancestors first, then projects out every
-remaining vertex whose W- or M-criterion holds, re-testing against the
-evolving graph.  The output graph represents the marginal model over the
-informative vertices; a latent-projection view (which introduces bidirected
-edges instead) is provided as a read-only contrast artifact.
+remaining vertex whose W- or M-criterion holds on the input graph, so the
+output does not depend on the visit order.  The output graph represents the
+marginal model over the informative vertices; a latent-projection view
+(which introduces bidirected edges instead) is provided as a read-only
+contrast artifact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .criteria import m_criterion, w_criterion
+from .criteria import CriterionVerdict, criterion_verdicts
 from .graph import Dag, GraphError, ancestors
-from .taxonomy import classify
+from .taxonomy import Taxonomy, classify
 
 __all__ = [
     "ReductionReport",
@@ -30,11 +31,13 @@ __all__ = [
 class ReductionReport:
     """Audit trail of a reduction: each removal records the vertex, why it
     was removed (N, I, W-criterion or M-criterion) and the child ordering
-    used for the projection (empty for N/I removals)."""
+    used for the projection (empty for N/I removals); ``verdicts`` maps each
+    W \\ O and M \\ {Y} vertex to its verdict, kept ones included."""
 
     input: Dag
     output: Dag
     removed: tuple[tuple[str, str, tuple[str, ...]], ...]
+    verdicts: dict[str, CriterionVerdict] = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,11 @@ def project_out_ni(g: Dag) -> Dag:
     For every pair of kept vertices joined by a causal path whose interior
     lies in I, the corresponding edge is added before N and I are deleted.
     """
-    tax = classify(g)
+    return _drop_ni(g, classify(g))
+
+
+def _drop_ni(g: Dag, tax: Taxonomy) -> Dag:
+    """:func:`project_out_ni` with the taxonomy ``tax`` of ``g`` given."""
     drop = tax.n | tax.i
     keep = [v for v in g.vertices if v not in drop]
     keep_set = set(keep)
@@ -127,49 +134,38 @@ def project_vertex(g: Dag, vi: str, pi: Sequence[str]) -> Dag:
 def reduce(g: Dag, *, order: Iterable[str] | None = None) -> ReductionReport:
     """Run the full reduction and return a :class:`ReductionReport`.
 
-    Vertices outside {A, Y} and the optimal adjustment set are visited once,
-    in declaration order by default; ``order`` overrides the visit order (the
-    output graph is order-independent).  Criteria are re-evaluated against
-    the current graph at each step.
+    ``g`` is classified and its vertices are judged once; no projection
+    changes the taxonomy or the verdicts of the vertices left.  The vertices
+    whose criterion holds are projected out one at a time, in declaration
+    order by default; ``order`` overrides the visit order (the output graph
+    does not depend on it).
     """
-    tax0 = classify(g)
+    tax = classify(g)
     removed: list[tuple[str, str, tuple[str, ...]]] = []
     for v in g.vertices:
-        if v in tax0.n:
+        if v in tax.n:
             removed.append((v, "N", ()))
-        elif v in tax0.i:
+        elif v in tax.i:
             removed.append((v, "I", ()))
-    cur = project_out_ni(g)
+    cur = _drop_ni(g, tax)
 
-    excluded = {g.treatment, g.outcome} | tax0.o
-    loop = [v for v in cur.vertices if v not in excluded]
-    if order is not None:
-        order_list = list(order)
-        if set(order_list) != set(loop) or len(order_list) != len(loop):
-            raise GraphError("order must be a permutation of the non-kept vertices")
-        loop = order_list
+    verdicts = criterion_verdicts(g, tax)
+    loop = list(verdicts) if order is None else list(order)
+    if sorted(loop) != sorted(verdicts):
+        raise GraphError("order must be a permutation of the non-kept vertices")
 
     for v in loop:
-        tax = classify(cur)
-        if v in tax.w - tax.o:
-            verdict = w_criterion(cur, tax, v)
-            if verdict.satisfied:
-                pi = verdict.chain
-                if g.treatment in cur.children(v):
-                    pi = pi + (g.treatment,)
-                cur = project_vertex(cur, v, pi)
-                removed.append((v, "W-criterion", pi))
-        elif v in tax.m - {g.outcome}:
-            verdict = m_criterion(cur, tax, v)
-            if verdict.satisfied:
-                pi = cur.sort_topologically(cur.children(v))
-                cur = project_vertex(cur, v, pi)
-                removed.append((v, "M-criterion", pi))
-        else:
-            raise RuntimeError(
-                f"internal invariant violated: {v!r} left W \\ O and M \\ {{Y}}"
-            )
-    return ReductionReport(input=g, output=cur, removed=tuple(removed))
+        if not verdicts[v].satisfied:
+            continue
+        # the children in topological order, the treatment last: a W \ O
+        # vertex's other children are in W, and an M vertex's are in M
+        children = cur.children(v)
+        pi = cur.sort_topologically(children - {g.treatment})
+        if g.treatment in children:
+            pi += (g.treatment,)
+        cur = project_vertex(cur, v, pi)
+        removed.append((v, "W-criterion" if v in tax.w else "M-criterion", pi))
+    return ReductionReport(input=g, output=cur, removed=tuple(removed), verdicts=verdicts)
 
 
 def latent_projection(g: Dag, keep: Iterable[str]) -> LatentProjectionView:

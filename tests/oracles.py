@@ -1,7 +1,9 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here enumerates paths or subsets directly and shares no code with
-the traversal-based implementations under test.
+the traversal-based implementations under test, except ``reduce_rechecking``:
+the reduction loop that re-derives the taxonomy and the verdicts on the
+current graph at every step, built from the library's own parts.
 """
 
 from __future__ import annotations
@@ -136,6 +138,48 @@ def random_dag(rng: np.random.Generator, n: int, p_edge: float = 0.4,
         if (treatment, outcome) not in edges:
             edges.append((treatment, outcome))
     return Dag(labels, edges, treatment, outcome)
+
+
+def reduce_rechecking(g: Dag, order=None):
+    """The reduction loop that re-classifies the current graph and re-runs
+    the visited vertex's criterion on it before every projection.
+
+    Returns the output graph, the removals as ``reduce`` records them, and
+    one ``(graph, taxonomy, verdict)`` step per visited vertex, read on the
+    graph current at that visit.
+    """
+    from causal_reduce.criteria import m_criterion, w_criterion
+    from causal_reduce.reduction import project_out_ni, project_vertex
+    from causal_reduce.taxonomy import classify
+
+    tax0 = classify(g)
+    removed = []
+    for v in g.vertices:
+        if v in tax0.n | tax0.i:
+            removed.append((v, "N" if v in tax0.n else "I", ()))
+    cur = project_out_ni(g)
+    kept = {g.treatment, g.outcome} | tax0.o
+    loop = [v for v in cur.vertices if v not in kept] if order is None else list(order)
+    steps = []
+    for v in loop:
+        tax = classify(cur)
+        if v in tax.w - tax.o:
+            verdict = w_criterion(cur, tax, v)
+            pi = verdict.chain
+            if g.treatment in cur.children(v):
+                pi = pi + (g.treatment,)
+            reason = "W-criterion"
+        elif v in tax.m - {g.outcome}:
+            verdict = m_criterion(cur, tax, v)
+            pi = cur.sort_topologically(cur.children(v))
+            reason = "M-criterion"
+        else:
+            raise AssertionError(f"{v!r} left W \\ O and M \\ {{Y}}")
+        steps.append((cur, tax, verdict))
+        if verdict.satisfied:
+            cur = project_vertex(cur, v, pi)
+            removed.append((v, reason, pi))
+    return cur, tuple(removed), steps
 
 
 def joint_prob_loop(bn, assignment: dict[str, int]) -> float:

@@ -64,6 +64,18 @@ class TestReduce:
         report = json.loads(report_path.read_text())
         assert [r["vertex"] for r in report["removed"]] == ["I1", "W4", "W1"]
         assert report["removed"][1]["pi"] == ["O1", "A"]
+        verdicts = {v["vertex"]: v for v in report["verdicts"]}
+        assert list(verdicts) == ["W4", "W2", "W3", "W1"]
+        for kept in ("W2", "W3"):
+            assert verdicts[kept] == {
+                "vertex": kept,
+                "set": "W",
+                "satisfied": False,
+                "failed_clause": "ii_b",
+                "failed_index": 1,
+                "chain": ["W4"],
+            }
+        assert verdicts["W4"]["satisfied"] and verdicts["W1"]["satisfied"]
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["reduce", "--graph", str(tmp_path / "nope")])
@@ -178,14 +190,17 @@ CONFOUNDED_TEXT = "!treatment A\n!outcome Y\nO -> A\nO -> Y\nA -> Y\n"
 # both estimators need.
 EMPTY_CELL_CSV = "O,A,Y\n0,1,1\n0,0,0\n1,0,1\n1,0,0\n"
 
+# No row has A = 1, so the treatment's cardinality read from the data is 1.
+UNSEEN_LEVEL_CSV = "O,A,Y\n0,0,1\n1,0,0\n"
 
-def estimate_on_csv(capsys, tmp_path, text, estimator):
+
+def estimate_on_csv(capsys, tmp_path, text, estimator, level=1):
     graph_path = tmp_path / "confounded.graph"
     graph_path.write_text(CONFOUNDED_TEXT)
     data_path = tmp_path / "d.csv"
     data_path.write_text(text)
     argv = ["estimate", "--data", str(data_path), "--graph", str(graph_path)]
-    argv += ["--level", "1", "--estimator", estimator]
+    argv += ["--level", str(level), "--estimator", estimator]
     if estimator == "adjustment":
         argv += ["--adjust", "O"]
     return run(capsys, argv)
@@ -198,6 +213,20 @@ class TestDataInput:
         assert code == 2
         assert out == ""
         assert "no observations" in err
+
+    @pytest.mark.parametrize(
+        "estimator, cell", [("g", "('Y', (0,))"), ("adjustment", "('O', (0,))")]
+    )
+    def test_unseen_level_is_empty_cell(self, capsys, tmp_path, estimator, cell):
+        code, out, err = estimate_on_csv(capsys, tmp_path, UNSEEN_LEVEL_CSV, estimator)
+        assert code == 2 and out == ""
+        assert f"no observations at needed cell {cell}" in err
+
+    @pytest.mark.parametrize("estimator", ["g", "adjustment"])
+    def test_negative_level_out_of_range(self, capsys, tmp_path, estimator):
+        code, out, err = estimate_on_csv(capsys, tmp_path, UNSEEN_LEVEL_CSV, estimator, -1)
+        assert code == 2 and out == ""
+        assert "treatment level -1 out of range" in err
 
     def test_negative_state_rejected(self, capsys, tmp_path):
         text = "O,A,Y\n0,1,1\n0,1,-1\n1,1,0\n1,0,1\n0,0,0\n"

@@ -1,18 +1,21 @@
 """Projections, the reduction loop and the latent-projection contrast."""
 
+from collections import Counter
+
 import pytest
 
-from causal_reduce.criteria import informative_set
-from causal_reduce.graph import GraphError, parse_graph
+from causal_reduce import criteria, reduction, taxonomy
+from causal_reduce.criteria import CriterionVerdict, informative_set
+from causal_reduce.graph import Dag, GraphError, parse_graph
 from causal_reduce.reduction import (
     latent_projection,
     project_out_ni,
     project_vertex,
     reduce,
 )
-from causal_reduce.taxonomy import classify
-from conftest import golden
-from oracles import random_dag
+from causal_reduce.taxonomy import Taxonomy, classify
+from conftest import GOLDEN_TEXTS, golden
+from oracles import random_dag, reduce_rechecking
 
 
 class TestProjectOutNI:
@@ -121,6 +124,10 @@ class TestReduceGolden:
             ("W1", "W-criterion"),
         ]
         assert report.removed[1][2] == ("O1", "A")
+        assert list(report.verdicts) == ["W4", "W2", "W3", "W1"]
+        for kept in ("W2", "W3"):
+            assert report.verdicts[kept] == CriterionVerdict(kept, False, "ii_b", 1, ("W4",))
+        assert report.verdicts["W4"].satisfied and report.verdicts["W1"].satisfied
 
     def test_mediator_family(self):
         g1star = parse_graph("!treatment A\n!outcome Y\nA -> Y\nO -> Y")
@@ -192,6 +199,72 @@ class TestReduceProperties:
             after = classify(reduce(g).output)
             assert before.o == after.o
             assert before.o_min == after.o_min
+
+
+class TestReduceAgainstRechecking:
+    """reduce judges every vertex once, on the input graph; the oracle
+    re-classifies and re-judges on the current graph before every step."""
+
+    def _check(self, g, order=None):
+        report = reduce(g, order=order)
+        output, removed, steps = reduce_rechecking(g, order)
+        assert report.output == output
+        assert report.removed == removed
+        tax0 = classify(g)
+        for cur, tax, verdict in steps:
+            left = set(cur.vertices)
+            none = frozenset()
+            assert tax == Taxonomy(none, none, tax0.w & left, tax0.m & left, tax0.o, tax0.o_min)
+            assert verdict.satisfied == report.verdicts[verdict.vertex].satisfied
+
+    def test_random_dags(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(3, 11))
+            g = random_dag(rng, n, float(rng.uniform(0.2, 0.6)), ensure_assumption=True)
+            self._check(g)
+            self._check(g, [str(v) for v in rng.permutation(list(reduce(g).verdicts))])
+
+    def test_golden_graphs(self):
+        for name in GOLDEN_TEXTS:
+            g = golden(name)
+            self._check(g)
+            self._check(g, list(reduce(g).verdicts)[::-1])
+
+
+class TestReduceCost:
+    def test_judges_each_vertex_once(self, monkeypatch):
+        # W1 -> ... -> W60 -> A -> M1 -> ... -> M20 -> Y, with W60 -> Y and
+        # skip edges over one vertex, which keep most mediators
+        ws = [f"W{i}" for i in range(1, 61)]
+        ms = [f"M{i}" for i in range(1, 21)]
+        chain = ws + ["A"] + ms + ["Y"]
+        edges = list(zip(chain, chain[1:])) + [("W60", "Y")]
+        edges += [(ws[i], ws[i + 2]) for i in range(0, 58, 7)]
+        edges += [(ms[i], ms[i + 2]) for i in range(0, 18, 5)]
+        g = Dag(chain, edges, "A", "Y")
+        tax = classify(g)
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (reduction, criteria, taxonomy):
+            count(module, "classify")
+        count(criteria, "w_criterion")
+        count(criteria, "m_criterion")
+        report = reduce(g)
+        assert len(report.input.vertices) >= 80
+        assert calls["classify"] <= 2
+        assert calls["w_criterion"] <= len(tax.w - tax.o)
+        assert calls["m_criterion"] <= len(tax.m - {"Y"})
+        kept = {v for v, d in report.verdicts.items() if not d.satisfied}
+        assert kept and len(report.removed) > 40
 
 
 class TestLatentProjection:
