@@ -43,11 +43,9 @@ from .bn import (
     ZeroConditioningEvent,
     bn_from_json,
     bn_to_json,
-    cond_expectation,
     dataset_from_csv,
     dataset_to_csv,
     derive_seed,
-    joint_prob,
     joint_table,
     random_law,
     sample,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,12 +31,10 @@ __all__ = [
     "EnumerationLimitError",
     "ENUMERATION_LIMIT",
     "validate",
-    "joint_prob",
     "joint_table",
     "cpt_factors",
     "contract",
     "marginal",
-    "cond_expectation",
     "random_law",
     "sample",
     "derive_seed",
@@ -56,11 +54,13 @@ class NormalizationError(ValueError):
 
 
 class PositivityError(ValueError):
-    """A required treatment probability is zero (or below the floor)."""
+    """A needed treatment probability is zero on an event of positive
+    probability; ``cell`` names that event."""
 
 
 class ZeroConditioningEvent(ValueError):
-    """A conditional was requested on an event of probability zero."""
+    """A needed conditional is on an event of probability zero; ``cell``
+    names that event."""
 
 
 class EnumerationLimitError(ValueError):
@@ -145,20 +145,10 @@ class DiscreteBn:
 @dataclass(frozen=True)
 class ValidationCertificate:
     rows_checked: int
-    positivity_level: int | None = None
-    positivity_epsilon: float | None = None
 
 
-def validate(
-    bn: DiscreteBn,
-    require_positivity_for: tuple[int, float] | None = None,
-) -> ValidationCertificate:
-    """Check row normalization and ranges; optionally certify positivity.
-
-    ``require_positivity_for`` is a ``(treatment_level, epsilon)`` pair; the
-    check is ``P(A = level | parent state) >= epsilon`` for every parent
-    state of the treatment.
-    """
+def validate(bn: DiscreteBn) -> ValidationCertificate:
+    """Check that every CPT entry lies in [0, 1] and every row sums to 1."""
     rows = 0
     for v in bn.graph.vertices:
         table = bn.cpts[v]
@@ -174,23 +164,7 @@ def validate(
                 f"CPT row for {v!r} at parent state {tuple(int(i) for i in idx)} "
                 f"sums to {sums[bad[0]]:.12g}"
             )
-    cert = ValidationCertificate(rows_checked=rows)
-    if require_positivity_for is not None:
-        level, eps = require_positivity_for
-        a = bn.graph.treatment
-        table = bn.cpts[a].reshape(-1, bn.cards[a])
-        if not 0 <= level < bn.cards[a]:
-            raise GraphError(f"treatment level {level} out of range")
-        bad = np.nonzero(table[:, level] < eps)[0]
-        if bad.size:
-            shape = bn.cpts[a].shape[:-1]
-            idx = np.unravel_index(int(bad[0]), shape) if shape else ()
-            raise PositivityError(
-                f"P({a}={level} | parents={tuple(int(i) for i in idx)}) = "
-                f"{table[bad[0], level]:.6g} < {eps}"
-            )
-        cert = ValidationCertificate(rows, level, eps)
-    return cert
+    return ValidationCertificate(rows_checked=rows)
 
 
 # -- exact factor contraction -------------------------------------------------
@@ -303,70 +277,6 @@ def joint_table(bn: DiscreteBn) -> np.ndarray:
     """Full joint probability array with one axis per vertex, in declaration
     order."""
     return marginal(bn, bn.graph.vertices)
-
-
-def joint_prob(bn: DiscreteBn, v: Sequence[int]) -> float:
-    """Probability of one full configuration (states in declaration order)."""
-    if len(v) != len(bn.graph.vertices):
-        raise GraphError("state tuple length does not match the vertex count")
-    state = {name: int(s) for name, s in zip(bn.graph.vertices, v)}
-    for name, s in state.items():
-        if not 0 <= s < bn.cards[name]:
-            raise GraphError(f"state {s} out of range for {name!r}")
-    p = 1.0
-    for name in bn.graph.vertices:
-        idx = tuple(state[q] for q in bn.parent_order(name)) + (state[name],)
-        p *= float(bn.cpts[name][idx])
-    return p
-
-
-def cond_expectation(
-    bn: DiscreteBn,
-    f_vars: Sequence[str],
-    f: Callable[..., float],
-    given: Mapping[str, int] | None = None,
-) -> float:
-    """E[f(f_vars) | given] by exact enumeration.
-
-    ``f`` receives one state per label in ``f_vars``; ``given`` is a partial
-    assignment.  Raises :class:`ZeroConditioningEvent` when the conditioning
-    event has probability zero.
-    """
-    given = dict(given or {})
-    for name in list(f_vars) + list(given):
-        bn.graph._check(name)
-    axes = [v for v in bn.graph.vertices if v in given or v in f_vars]
-    joint = marginal(bn, axes)
-    pos = {v: i for i, v in enumerate(axes)}
-    sl = [slice(None)] * len(axes)
-    for name, s in given.items():
-        if not 0 <= int(s) < bn.cards[name]:
-            raise GraphError(f"state {s} out of range for {name!r}")
-        sl[pos[name]] = int(s)
-    restricted = joint[tuple(sl)]
-    denom = float(restricted.sum())
-    if denom <= 0.0:
-        raise ZeroConditioningEvent(f"P({given}) = 0")
-    kept = [v for v in axes if v not in given]
-    grids = np.meshgrid(
-        *[np.arange(bn.cards[v]) for v in f_vars], indexing="ij"
-    )
-    f_arr = np.vectorize(f, otypes=[float])(*grids) if f_vars else np.asarray(f())
-    # align f over the kept axes; conditioned-on f_vars are fixed scalars
-    shape = [1] * len(kept)
-    take: list[int | slice] = []
-    for v in f_vars:
-        if v in given:
-            take.append(int(given[v]))
-        else:
-            take.append(slice(None))
-            shape[kept.index(v)] = bn.cards[v]
-    f_over_kept = np.asarray(f_arr[tuple(take)], dtype=float)
-    order = [v for v in f_vars if v not in given]
-    perm = sorted(range(len(order)), key=lambda i: kept.index(order[i]))
-    f_over_kept = np.transpose(f_over_kept, perm).reshape(shape)
-    num = float((restricted * f_over_kept).sum())
-    return num / denom
 
 
 # -- law generation and sampling --------------------------------------------

@@ -83,20 +83,30 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _require(
     weight: np.ndarray, den: np.ndarray, error: type, message: str,
-    where: tuple[str, Sequence[int]] = ("", ()),
+    where: tuple[str, Sequence[int]],
 ) -> None:
     """The one positivity check: raise ``error`` where ``den`` is 0 on a
     cell that ``weight`` gives positive probability.  ``where`` names the
-    conditioning event and the axes of its states; the error's ``cell`` is
-    that name with the states of the first such cell."""
+    conditioning event and the axes of its states; the error's ``cell``,
+    also in its message, is that name with the states of the first such
+    cell."""
     bad = den <= 0.0
     if bad.any():
         bad = bad & (weight > 0.0)
         if bad.any():
-            at = tuple(int(i) for i in np.argwhere(bad)[0])
-            exc = error(f"{message} (cell {at})")
-            exc.cell = (where[0], tuple(at[i] for i in where[1]))
+            at = np.argwhere(bad)[0]
+            cell = (where[0], tuple(int(at[i]) for i in where[1]))
+            exc = error(f"{message} (cell {cell})")
+            exc.cell = cell
             raise exc
+
+
+def _event(labels: Sequence[str], given: Iterable[str], treat: str) -> tuple[str, list[int]]:
+    """The ``where`` of a conditional on ``given``: their names, comma-joined
+    in ``labels`` order, and their axes.  With nothing given the conditional
+    is P(treat = a), and the event is named after the treatment."""
+    given = [v for v in labels if v in set(given)]
+    return ",".join(given) or treat, [labels.index(v) for v in given]
 
 
 def _expect_given(
@@ -143,7 +153,8 @@ def g_functional_exact(bn: DiscreteBn, a: int) -> float:
     if np.any(column <= 0.0):
         parents = bn.parent_order(treat)
         message = f"P({treat}={a} | {', '.join(parents)}) = 0 on a positive-probability event"
-        _require(marginal(bn, parents), column, PositivityError, message)
+        where = (treat, range(len(parents)))
+        _require(marginal(bn, parents), column, PositivityError, message, where)
     factors = cpt_factors(bn, {y}, a) + [((y,), np.arange(bn.cards[y], dtype=float))]
     return float(contract(factors, bn.cards, ()))
 
@@ -161,7 +172,7 @@ def _g_formula(
     A needed conditional on a zero-probability event raises: with the
     treatment among its parents it is a :class:`PositivityError`, otherwise
     a :class:`ZeroConditioningEvent`; the error's ``cell`` is the child with
-    the state of its other parents.
+    the states of its other parents, in their order in the factor.
     """
     _check_level(cards, treat, a)
     check_enumerable(cards[v] for v in labels if v != treat)
@@ -184,7 +195,7 @@ def _g_formula(
     for child, parents, den in undefined:
         error = PositivityError if treat in parents else ZeroConditioningEvent
         message = f"p({child} | {', '.join(parents)}) at {treat}={a} needs a null event"
-        given = [i for i, v in enumerate(labels) if v in parents and v != treat]
+        given = [labels.index(v) for v in parents if v != treat]
         _require(total, den, error, message, (child, given))
     return float((total * _value_axis(labels, cards, y)).sum())
 
@@ -214,7 +225,8 @@ def _adjustment(
 ) -> float:
     """Sum over l of E[Y | A=a, L=l] P(l), with ``joint`` the law over
     ``labels`` = L ∪ {A, Y}.  A needed P(A=a, L=l) = 0 raises
-    :class:`ZeroConditioningEvent`, whose ``cell`` is L with the state l."""
+    :class:`ZeroConditioningEvent`, whose ``cell`` is L with the state l
+    (:func:`_event`)."""
     cards = dict(zip(labels, joint.shape))
     _check_level(cards, treat, a)
     Ls = [v for v in labels if v in Ls]
@@ -223,8 +235,7 @@ def _adjustment(
     at_a = np.take(joint, [a], axis=labels.index(treat))
     den = _sum_to(at_a, labels, Ls)
     message = f"P({treat}={a}, L=l) = 0 for some l with P(l) > 0"
-    where = (",".join(Ls), [labels.index(v) for v in Ls])
-    _require(p_l, den, ZeroConditioningEvent, message, where)
+    _require(p_l, den, ZeroConditioningEvent, message, _event(labels, Ls, treat))
     return float((_ratio(_sum_to(at_a * y_vals, labels, Ls), den) * p_l).sum())
 
 
@@ -242,11 +253,14 @@ def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
     Inner mixtures over treatment levels are restricted to levels observable
     jointly with the mediator state and renormalized, which only matters for
     degenerate laws; under positivity over (A, mediators) this is exactly the
-    standard formula.
+    standard formula.  The one positivity the formula needs is P(A=a) > 0:
+    a mediator state m with P(m | A=a) > 0 is observed with A=a, so its
+    mixture always has weight.
     """
     g = bn.graph
     Ms = _as_set(g, mediators)
     treat = g.treatment
+    _check_level(bn.cards, treat, a)
     labels, joint = _law_over(bn, Ms | {treat, g.outcome})
     at = labels.index(treat)
     y_vals = _value_axis(labels, bn.cards, g.outcome)
@@ -255,13 +269,11 @@ def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
     p_am = _sum_to(joint, labels, am_axes)
     p_a = _sum_to(joint, labels, {treat})
     p_a_at = p_a.take([a], axis=at)
-    _require(np.ones(()), p_a_at, ZeroConditioningEvent, f"P({treat}={a}) = 0")
+    _require(np.ones(()), p_a_at, ZeroConditioningEvent, f"P({treat}={a}) = 0", (treat, ()))
     p_m_given_a = p_am.take([a], axis=at) / p_a_at
     e_y_am = _ratio(_sum_to(joint * y_vals, labels, am_axes), p_am)
     weights = np.where(p_am > 0.0, p_a, 0.0)
     denom_a = weights.sum(axis=at, keepdims=True)
-    message = "no treatment level is jointly observable with a needed mediator state"
-    _require(p_m_given_a, denom_a, ZeroConditioningEvent, message)
     inner = _ratio((e_y_am * weights).sum(axis=at, keepdims=True), denom_a)
     return float((p_m_given_a * inner).sum())
 
@@ -270,16 +282,10 @@ def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
 
 @dataclass(frozen=True)
 class EifContext:
-    """Precomputed tables for evaluating the efficient influence function at
-    one treatment level: the outcome regression over the optimal adjustment
-    set and the treatment probability over its minimal d-separating subset,
-    plus the assembled per-configuration values."""
+    """The efficient influence function at one treatment level: its value
+    at every configuration of ``graph``'s vertices, with the law there."""
 
     graph: Dag
-    tax: Taxonomy
-    level: int
-    b_table: dict[tuple[int, ...], float]
-    rho_table: dict[tuple[int, ...], float]
     values: np.ndarray = field(repr=False)
     joint: np.ndarray = field(repr=False)
 
@@ -307,19 +313,16 @@ def _build_context(
     _check_level(cards, treat, a)
     y_vals = _value_axis(labels, cards, outcome)
 
-    o_order = tuple(v for v in labels if v in tax.o)
-    omin_order = tuple(v for v in labels if v in tax.o_min)
-
     # b(O) = E[Y | A=a, O]
-    b_arr = _expect_given(joint, labels, y_vals, set(o_order) | {treat})
+    b_arr = _expect_given(joint, labels, y_vals, tax.o | {treat})
     b_arr = b_arr.take([a], axis=labels.index(treat))
 
     # rho(O_min) = P(A=a | O_min)
     ind_a = _indicator(labels, cards, treat, a)
-    p_omin = _sum_to(joint, labels, omin_order)
-    rho_arr = _ratio(_sum_to(joint * ind_a, labels, omin_order), p_omin)
+    p_omin = _sum_to(joint, labels, tax.o_min)
+    rho_arr = _ratio(_sum_to(joint * ind_a, labels, tax.o_min), p_omin)
     message = f"P({treat}={a} | O_min) = 0 on a positive-probability event"
-    _require(p_omin, rho_arr, PositivityError, message)
+    _require(p_omin, rho_arr, PositivityError, message, _event(labels, tax.o_min, treat))
     t_arr = _ratio(ind_a * y_vals, rho_arr)
 
     # E[f | pa(v), v] - E[f | pa(v)], with f = b for v in W and T for v in M
@@ -333,15 +336,7 @@ def _build_context(
             num, den = num.sum(axis=i, keepdims=True), den.sum(axis=i, keepdims=True)
             eif = eif - _ratio(num, den)
     eif = np.broadcast_to(eif, joint.shape).copy()
-
-    b_table = _table(b_arr, [cards[v] for v in o_order])
-    rho_table = _table(rho_arr, [cards[v] for v in omin_order])
-    return EifContext(graph, tax, a, b_table, rho_table, values=eif, joint=joint)
-
-
-def _table(arr: np.ndarray, shape: Sequence[int]) -> dict[tuple[int, ...], float]:
-    """A keepdims array over some axes, as a dict from their states."""
-    return {idx: float(x) for idx, x in np.ndenumerate(arr.reshape(shape))}
+    return EifContext(graph, values=eif, joint=joint)
 
 
 def eif_exact(
@@ -388,6 +383,7 @@ def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
     of its nonparametric influence function."""
     g = bn.graph
     Ls = _as_set(g, L)
+    _check_level(bn.cards, g.treatment, a)
     labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
     y_vals = _value_axis(labels, bn.cards, g.outcome)
     ind_a = _indicator(labels, bn.cards, g.treatment, a)
@@ -396,7 +392,7 @@ def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
     p_l = _sum_to(joint, labels, Ls)
     e_l = _ratio(_sum_to(joint * ind_a, labels, Ls), p_l)
     message = f"P({g.treatment}={a} | L) = 0 on a positive-probability event"
-    _require(p_l, e_l, ZeroConditioningEvent, message)
+    _require(p_l, e_l, ZeroConditioningEvent, message, _event(labels, Ls, g.treatment))
     psi = float((b_l * p_l).sum())
     phi = _ratio(ind_a, e_l) * (y_vals - b_l) + b_l - psi
     return float((joint * phi**2).sum())
@@ -447,8 +443,11 @@ def plugin_g(
     family's columns.  A conditioning cell that carries positive weight but
     was never observed raises :class:`EmptyCellError`, whose ``cells`` hold
     the child with the state of its other parents; pass ``laplace`` to add
-    it to every family count instead (explicit opt-in).
+    it to every family count instead (explicit opt-in); it must be finite
+    and at least 0, and 0 adds nothing.
     """
+    if laplace is not None and not 0.0 <= laplace < np.inf:
+        raise ValueError(f"laplace must be finite and >= 0, got {laplace}")
     labels = list(g.vertices)
     cards = _data_cards(dataset, labels, g.treatment, a)
     law = partial(_counts, dataset, labels, cards, add=laplace or 0.0)

@@ -8,24 +8,20 @@ from causal_reduce.bn import (
     DiscreteBn,
     EnumerationLimitError,
     NormalizationError,
-    PositivityError,
-    ZeroConditioningEvent,
     bn_from_json,
     bn_to_json,
-    cond_expectation,
     dataset_from_csv,
     dataset_to_csv,
     derive_seed,
-    joint_prob,
     joint_table,
     marginal,
     random_law,
     sample,
     validate,
 )
-from causal_reduce.graph import Dag, d_separated, parse_graph
+from causal_reduce.graph import Dag, d_separated
 from conftest import golden
-from oracles import cond_expectation_loop, joint_prob_loop, random_dag
+from oracles import joint_prob_loop, random_dag
 
 
 def coin_pair() -> DiscreteBn:
@@ -65,18 +61,6 @@ class TestValidate:
                 )
             )
 
-    def test_positivity_error(self):
-        g = parse_graph("!treatment A\n!outcome Y\nW4 -> A\nA -> Y\nW4 -> Y")
-        cpts = {
-            "W4": np.array([0.5, 0.5]),
-            "A": np.array([[1.0, 0.0], [0.5, 0.5]]),
-            "Y": np.array([[[0.5, 0.5]] * 2] * 2),
-        }
-        bn = DiscreteBn(g, {"W4": 2, "A": 2, "Y": 2}, cpts)
-        validate(bn)
-        with pytest.raises(PositivityError):
-            validate(bn, require_positivity_for=(1, 0.01))
-
     def test_shape_checked_at_construction(self):
         g = golden("trivial")
         with pytest.raises(Exception):
@@ -85,17 +69,7 @@ class TestValidate:
             )
 
 
-class TestJointProb:
-    def test_independent_coins(self):
-        assert joint_prob(coin_pair(), (1, 1)) == pytest.approx(0.25)
-
-    def test_chain_product(self):
-        assert joint_prob(biased_chain(), (1, 1)) == pytest.approx(0.35)
-
-    def test_out_of_range(self):
-        with pytest.raises(Exception):
-            joint_prob(coin_pair(), (2, 0))
-
+class TestJointTable:
     def test_sums_to_one_and_matches_loop(self, rng):
         for _ in range(10):
             g = random_dag(rng, 5, 0.5, ensure_assumption=True)
@@ -105,9 +79,6 @@ class TestJointProb:
             assert abs(float(table.sum()) - 1.0) <= 1e-10
             states = tuple(int(rng.integers(cards[v])) for v in g.vertices)
             assignment = dict(zip(g.vertices, states))
-            assert joint_prob(bn, states) == pytest.approx(
-                joint_prob_loop(bn, assignment)
-            )
             assert float(table[states]) == pytest.approx(
                 joint_prob_loop(bn, assignment)
             )
@@ -131,42 +102,6 @@ class TestJointProb:
         bn = DiscreteBn(g, {v: 2 for v in labels}, cpts)
         with pytest.raises(EnumerationLimitError):
             joint_table(bn)
-
-
-class TestCondExpectation:
-    def test_fair_coin(self):
-        assert cond_expectation(coin_pair(), ["Y"], lambda y: y, {}) == pytest.approx(
-            0.5
-        )
-
-    def test_chain_conditional(self):
-        assert cond_expectation(
-            biased_chain(), ["Y"], lambda y: y, {"A": 1}
-        ) == pytest.approx(0.7)
-
-    def test_zero_conditioning(self):
-        g = golden("trivial")
-        bn = DiscreteBn(
-            g,
-            {"A": 2, "Y": 2},
-            {"A": np.array([1.0, 0.0]), "Y": np.array([[0.5, 0.5], [0.5, 0.5]])},
-        )
-        with pytest.raises(ZeroConditioningEvent):
-            cond_expectation(bn, ["Y"], lambda y: y, {"A": 1})
-
-    def test_matches_loop_oracle(self, rng):
-        for _ in range(10):
-            g = random_dag(rng, 5, 0.5, ensure_assumption=True)
-            cards = {v: int(rng.integers(2, 4)) for v in g.vertices}
-            bn = random_law(g, cards, seed=int(rng.integers(10**6)), epsilon=0.02)
-            labels = list(g.vertices)
-            rng.shuffle(labels)
-            f_vars = labels[:2]
-            given = {labels[2]: int(rng.integers(cards[labels[2]]))}
-            f = lambda x, y: float(x * 2 + y)
-            got = cond_expectation(bn, f_vars, f, given)
-            want = cond_expectation_loop(bn, f_vars, f, given)
-            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestRandomLaw:

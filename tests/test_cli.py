@@ -179,6 +179,16 @@ class TestEstimate:
         assert 0.0 <= payload["value"] <= 1.0
         assert payload["n"] == 4000
 
+    @pytest.mark.parametrize("level", ["-1", "2"])
+    def test_front_door_level_out_of_range(self, capsys, tmp_path, level):
+        g = golden("front_door")
+        path = tmp_path / "net.json"
+        save_bn(random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05), str(path))
+        argv = ["estimate", "--bn", str(path), "--estimator", "front-door"]
+        code, out, err = run(capsys, argv + ["--mediators", "M", "--level", level])
+        assert code == 2 and out == ""
+        assert f"treatment level {level} out of range" in err
+
     def test_estimate_without_source_is_input_error(self, capsys):
         code, _, err = run(capsys, ["estimate", "--level", "1"])
         assert code == 2
@@ -193,8 +203,11 @@ EMPTY_CELL_CSV = "O,A,Y\n0,1,1\n0,0,0\n1,0,1\n1,0,0\n"
 # No row has A = 1, so the treatment's cardinality read from the data is 1.
 UNSEEN_LEVEL_CSV = "O,A,Y\n0,0,1\n1,0,0\n"
 
+# Every cell the g-formula needs at A = 1 is observed.
+FULL_CELLS_CSV = "O,A,Y\n0,1,1\n0,0,0\n1,0,1\n1,1,0\n0,1,0\n"
 
-def estimate_on_csv(capsys, tmp_path, text, estimator, level=1):
+
+def estimate_on_csv(capsys, tmp_path, text, estimator, level=1, extra=()):
     graph_path = tmp_path / "confounded.graph"
     graph_path.write_text(CONFOUNDED_TEXT)
     data_path = tmp_path / "d.csv"
@@ -203,7 +216,7 @@ def estimate_on_csv(capsys, tmp_path, text, estimator, level=1):
     argv += ["--level", str(level), "--estimator", estimator]
     if estimator == "adjustment":
         argv += ["--adjust", "O"]
-    return run(capsys, argv)
+    return run(capsys, argv + list(extra))
 
 
 class TestDataInput:
@@ -227,6 +240,20 @@ class TestDataInput:
         code, out, err = estimate_on_csv(capsys, tmp_path, UNSEEN_LEVEL_CSV, estimator, -1)
         assert code == 2 and out == ""
         assert "treatment level -1 out of range" in err
+
+    @pytest.mark.parametrize("laplace", ["-0.25", "nan", "inf"])
+    def test_invalid_laplace_rejected(self, capsys, tmp_path, laplace):
+        extra = ["--laplace", laplace]
+        code, out, err = estimate_on_csv(capsys, tmp_path, FULL_CELLS_CSV, "g", extra=extra)
+        assert code == 2 and out == ""
+        assert "laplace must be finite and >= 0" in err
+
+    def test_zero_laplace_is_no_smoothing(self, capsys, tmp_path):
+        code, out, _ = estimate_on_csv(capsys, tmp_path, FULL_CELLS_CSV, "g")
+        assert code == 0
+        extra = ["--laplace", "0"]
+        code, zero, _ = estimate_on_csv(capsys, tmp_path, FULL_CELLS_CSV, "g", extra=extra)
+        assert code == 0 and zero == out
 
     def test_negative_state_rejected(self, capsys, tmp_path):
         text = "O,A,Y\n0,1,1\n0,1,-1\n1,1,0\n1,0,1\n0,0,0\n"

@@ -12,6 +12,7 @@ from causal_reduce.bn import (
     PositivityError,
     ZeroConditioningEvent,
     _broadcast_factor,
+    marginal,
     random_law,
     sample,
 )
@@ -30,7 +31,7 @@ from causal_reduce.functionals import (
     plugin_adjustment,
     plugin_g,
 )
-from causal_reduce.graph import Dag, parse_graph
+from causal_reduce.graph import Dag, GraphError, parse_graph
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import classify
 from conftest import LAW_SUITE, golden, positivity_hole_law
@@ -187,6 +188,15 @@ class TestFrontDoor:
         gap = abs(front_door_exact(bn, {"M"}, 1) - adjustment_exact(bn, {"O"}, 1))
         assert gap > 0.01
 
+    def test_null_treatment_names_the_treatment(self):
+        g = parse_graph("!treatment A\n!outcome Y\nA -> M\nM -> Y")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=1, epsilon=0.05)
+        bn = bn.with_cpt("A", np.array([1.0, 0.0]))
+        with pytest.raises(ZeroConditioningEvent) as err:
+            front_door_exact(bn, {"M"}, 1)
+        assert err.value.cell == ("A", ())
+        assert front_door_exact(bn, {"M"}, 0) == pytest.approx(g_functional_exact(bn, 0))
+
 
 class TestEif:
     def test_trivial_point_value(self):
@@ -201,12 +211,6 @@ class TestEif:
                 bn = law_on(name, seed)
                 ctx = EifContext.build(bn, 1)
                 assert abs(float((ctx.joint * ctx.values).sum())) <= 1e-10
-
-    def test_tables_exposed(self):
-        bn = law_on("motivating", 3)
-        ctx = EifContext.build(bn, 1)
-        assert set(map(len, ctx.b_table)) <= {1}
-        assert all(v > 0 for v in ctx.rho_table.values())
 
     def test_variance_matches_reduced_graph(self):
         for name in ("motivating", "mediator_chain", "covariate_web"):
@@ -294,6 +298,19 @@ class TestEif:
         for seed in range(10):
             bn2 = law_on("motivating", seed)
             assert eif_variance(bn2, 1) <= adjustment_if_variance(bn2, {"O1"}, 1) + 1e-10
+
+    def test_adjustment_variance_names_the_null_cell(self):
+        # A = 1 never occurs with L = 0
+        g = parse_graph("!treatment A\n!outcome Y\nL -> A\nA -> Y\nL -> Y")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=2, epsilon=0.05)
+        bn = bn.with_cpt("A", np.array([[1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(ZeroConditioningEvent) as err:
+            adjustment_if_variance(bn, {"L"}, 1)
+        assert err.value.cell == ("L", (0,))
+        bn = bn.with_cpt("A", np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(ZeroConditioningEvent) as err:
+            adjustment_if_variance(bn, set(), 1)
+        assert err.value.cell == ("A", ())
 
 
 def exact_count_dataset(bn):
@@ -401,7 +418,23 @@ def _outcome(call):
     try:
         return call()
     except (PositivityError, ZeroConditioningEvent) as exc:
-        return type(exc)
+        return exc
+
+
+def _cell_vertices(cell, graph, g_formula):
+    """The vertices whose states a null-event error's ``cell`` holds.  A
+    g-formula cell names a child and holds the states of its parents other
+    than the treatment; any other cell names its conditioning vertices,
+    comma-joined, or the treatment when it conditions on nothing."""
+    name, states = cell
+    assert name, cell
+    if g_formula:
+        vs = [p for p in graph.parent_list(name) if p != graph.treatment]
+    else:
+        vs = name.split(",") if states else []
+        assert vs or name == graph.treatment, cell
+    assert len(states) == len(vs), cell
+    return vs
 
 
 @given(
@@ -453,7 +486,45 @@ def test_exact_routes_agree_or_raise(name, seed, zero_rows):
         want = float((dense.joint * dense.values**2).sum())
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     else:
-        assert got is dense
+        assert type(got) is type(dense) and got.cell == dense.cell
+
+    # every error names its null event: states of named vertices, and for the
+    # routes that condition the treatment on the event, an event of positive
+    # probability on which A = 1 never occurs
+    out["eif_variance"] = got
+    for route, exc in out.items():
+        if isinstance(exc, float):
+            continue
+        graph = red if route in ("g_functional_for_graph", "evaluate") else g
+        vs = _cell_vertices(exc.cell, graph, route not in ("adjustment_exact", "eif_variance"))
+        states = exc.cell[1]
+        assert all(0 <= s < cards[v] for v, s in zip(vs, states)), (route, exc.cell)
+        if route in ("g_functional_exact", "adjustment_exact", "eif_variance"):
+            law = marginal(bn, ["A", *vs])[(slice(None), *states)]
+            assert law.sum() > 0.0 and law[1] == 0.0, (route, exc.cell)
+
+
+LEVEL_ROUTES = {
+    "g_functional_exact": lambda bn, red, a: g_functional_exact(bn, a),
+    "g_functional_for_graph": lambda bn, red, a: g_functional_for_graph(bn, red, a),
+    "evaluate": lambda bn, red, a: evaluate(derive_gformula(red), bn, a),
+    "adjustment_exact": lambda bn, red, a: adjustment_exact(bn, {"O"}, a),
+    "front_door_exact": lambda bn, red, a: front_door_exact(bn, {"M"}, a),
+    "EifContext.build": lambda bn, red, a: EifContext.build(bn, a),
+    "eif_exact": lambda bn, red, a: eif_exact(bn, a, (0, 0, 0, 0)),
+    "eif_variance": lambda bn, red, a: eif_variance(bn, a),
+    "eif_variance_for_graph": lambda bn, red, a: eif_variance_for_graph(bn, red, a),
+    "adjustment_if_variance": lambda bn, red, a: adjustment_if_variance(bn, {"O"}, a),
+}
+
+
+@pytest.mark.parametrize("route", LEVEL_ROUTES)
+def test_every_exact_route_checks_the_level(route):
+    bn = law_on("front_door", 1)
+    red = reduce(bn.graph).output
+    for a in (-1, bn.cards["A"]):
+        with pytest.raises(GraphError, match=f"treatment level {a} out of range"):
+            LEVEL_ROUTES[route](bn, red, a)
 
 
 # -- graphs past the dense joint -----------------------------------------------
