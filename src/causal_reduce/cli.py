@@ -145,6 +145,8 @@ def _cmd_estimate(args) -> int:
     level = args.level
     adjust = [s for s in (args.adjust or "").split(",") if s]
     mediators = [s for s in (args.mediators or "").split(",") if s]
+    if args.laplace is not None and (args.bn or args.estimator != "g"):
+        raise GraphError("--laplace applies only to --data with --estimator g")
     if args.bn:
         network = bnmod.load_bn(args.bn)
         if args.estimator == "g":
@@ -260,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjust", help="comma-separated adjustment set")
     p.add_argument("--mediators", help="comma-separated mediator set")
     p.add_argument(
-        "--laplace", type=float, default=None, help="additive smoothing (opt-in)"
+        "--laplace",
+        type=float,
+        default=None,
+        help="additive smoothing of the g plugin on --data (opt-in)",
     )
     add_json(p)
     p.set_defaults(func=_cmd_estimate)

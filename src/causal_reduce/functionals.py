@@ -30,7 +30,7 @@ from .bn import (
     cpt_factors,
     marginal,
 )
-from .graph import Dag, GraphError, _as_set
+from .graph import Dag, GraphError, _as_set, descendants
 from .taxonomy import Taxonomy, classify
 
 __all__ = [
@@ -143,6 +143,34 @@ def _check_level(cards: Mapping[str, int], treat: str, a: int) -> None:
         raise GraphError(f"treatment level {a} out of range")
 
 
+def _adjustment_set(g: Dag, L: Iterable[str]) -> set[str]:
+    """``L`` as a set, checked to hold no descendant of the treatment, so
+    neither the treatment nor the outcome."""
+    Ls = _as_set(g, L)
+    held = Ls & descendants(g, {g.treatment})
+    bad = [v for v in g.vertices if v in held]
+    if bad:
+        raise GraphError(
+            f"adjustment set may not hold {', '.join(bad)}: descendants of "
+            f"treatment {g.treatment!r}, itself and the outcome included"
+        )
+    return Ls
+
+
+def _mediator_set(g: Dag, mediators: Iterable[str]) -> set[str]:
+    """The mediators as a set, checked to be descendants of the treatment
+    other than the treatment and the outcome."""
+    Ms = _as_set(g, mediators)
+    held = Ms - (descendants(g, {g.treatment}) - {g.treatment, g.outcome})
+    bad = [v for v in g.vertices if v in held]
+    if bad:
+        raise GraphError(
+            f"mediator set may not hold {', '.join(bad)}: mediators are "
+            f"descendants of treatment {g.treatment!r} other than itself and the outcome"
+        )
+    return Ms
+
+
 def g_functional_exact(bn: DiscreteBn, a: int) -> float:
     """Interventional mean at treatment level ``a`` via the network's own
     truncated factorization."""
@@ -240,9 +268,10 @@ def _adjustment(
 
 
 def adjustment_exact(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
-    """Adjustment formula: sum over l of E[Y | A=a, L=l] P(l)."""
+    """Adjustment formula: sum over l of E[Y | A=a, L=l] P(l).  ``L`` holds
+    no descendant of A."""
     g = bn.graph
-    Ls = _as_set(g, L)
+    Ls = _adjustment_set(g, L)
     labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
     return _adjustment(labels, joint, Ls, g.treatment, g.outcome, a)
 
@@ -255,10 +284,11 @@ def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
     degenerate laws; under positivity over (A, mediators) this is exactly the
     standard formula.  The one positivity the formula needs is P(A=a) > 0:
     a mediator state m with P(m | A=a) > 0 is observed with A=a, so its
-    mixture always has weight.
+    mixture always has weight.  Every mediator is a descendant of A other
+    than A and Y.
     """
     g = bn.graph
-    Ms = _as_set(g, mediators)
+    Ms = _mediator_set(g, mediators)
     treat = g.treatment
     _check_level(bn.cards, treat, a)
     labels, joint = _law_over(bn, Ms | {treat, g.outcome})
@@ -380,9 +410,9 @@ def eif_variance_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
 
 def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
     """Asymptotic variance of the plugin adjustment estimator: the variance
-    of its nonparametric influence function."""
+    of its nonparametric influence function.  ``L`` holds no descendant of A."""
     g = bn.graph
-    Ls = _as_set(g, L)
+    Ls = _adjustment_set(g, L)
     _check_level(bn.cards, g.treatment, a)
     labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
     y_vals = _value_axis(labels, bn.cards, g.outcome)
@@ -461,9 +491,10 @@ def plugin_adjustment(
     dataset: Dataset, g: Dag, L: Iterable[str], a: int
 ) -> EstimateReport:
     """Empirical adjustment estimator: sum over l of mean(Y | A=a, L=l) P_n(l),
-    the adjustment formula on the empirical law.  An L state seen without
-    A=a raises :class:`EmptyCellError`."""
-    Ls = _as_set(g, L)
+    the adjustment formula on the empirical law.  ``L`` holds no descendant
+    of A under ``g``.  An L state seen without A=a raises
+    :class:`EmptyCellError`."""
+    Ls = _adjustment_set(g, L)
     labels = [v for v in g.vertices if v in Ls | {g.treatment, g.outcome}]
     cards = _data_cards(dataset, labels, g.treatment, a)
     joint = _counts(dataset, labels, cards, labels) / dataset.n

@@ -1,11 +1,12 @@
-"""Graph reduction: saturating vertex projections and the reduction loop.
+"""Graph reduction: one saturating elimination step and the reduction loop.
 
-Removes non-ancestors and indirect ancestors first, then projects out every
-remaining vertex whose W- or M-criterion holds on the input graph, so the
-output does not depend on the visit order.  The output graph represents the
-marginal model over the informative vertices; a latent-projection view
-(which introduces bidirected edges instead) is provided as a read-only
-contrast artifact.
+Every removed vertex goes by the same step on mutable parent and child sets.
+Non-ancestors and indirect ancestors go first, children first; then every
+vertex whose W- or M-criterion holds on the input graph, so the output does
+not depend on the visit order.  One :class:`Dag` is built at the end.  The
+output graph represents the marginal model over the informative vertices; a
+latent-projection view (which introduces bidirected edges instead) is
+provided as a read-only contrast artifact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .criteria import CriterionVerdict, criterion_verdicts
-from .graph import Dag, GraphError, ancestors
+from .graph import CycleError, Dag, GraphError, _as_set, topo_sort
 from .taxonomy import Taxonomy, classify
 
 __all__ = [
@@ -56,34 +57,61 @@ def project_out_ni(g: Dag) -> Dag:
     For every pair of kept vertices joined by a causal path whose interior
     lies in I, the corresponding edge is added before N and I are deleted.
     """
-    return _drop_ni(g, classify(g))
+    pa, _, steps = _drop_ni(g, classify(g))
+    return _dag(g, pa, steps)
 
 
-def _drop_ni(g: Dag, tax: Taxonomy) -> Dag:
-    """:func:`project_out_ni` with the taxonomy ``tax`` of ``g`` given."""
-    drop = tax.n | tax.i
-    keep = [v for v in g.vertices if v not in drop]
-    keep_set = set(keep)
-    edges = [e for e in g.edges if e[0] in keep_set and e[1] in keep_set]
-    edge_set = set(edges)
-    added: list[tuple[str, str]] = []
-    for u in keep:
-        # reachable kept vertices via directed paths with interior in I
-        stack = [c for c in g.children(u) if c in tax.i]
-        seen = set(stack)
-        while stack:
-            x = stack.pop()
-            for c in g.children(x):
-                if c in keep_set:
-                    if (u, c) not in edge_set:
-                        edge_set.add((u, c))
-                        added.append((u, c))
-                elif c in tax.i and c not in seen:
-                    seen.add(c)
-                    stack.append(c)
+Adjacency = dict[str, set[str]]
+
+
+def _adjacency(g: Dag) -> tuple[Adjacency, Adjacency]:
+    """Mutable copies of the parent and child sets of ``g``."""
+    pa = {v: set(g.parents(v)) for v in g.vertices}
+    return pa, {v: set(g.children(v)) for v in g.vertices}
+
+
+def _eliminate(pa: Adjacency, ch: Adjacency, v: str, pi: Sequence[str]) -> list[tuple[str, str]]:
+    """Project ``v`` out of the parent and child sets ``pa`` and ``ch`` along
+    ``pi``, an ordering of its children: every parent of ``v`` and every
+    earlier element of ``pi`` gains an edge into each element of ``pi``,
+    then ``v`` is deleted.  Returns the edges added."""
+    sources = set(pa[v])
+    added = []
+    for c in pi:
+        for s in sources - pa[c]:
+            added.append((s, c))
+            ch[s].add(c)
+        pa[c] |= sources
+        sources.add(c)
+    for p in pa.pop(v):
+        ch[p].discard(v)
+    for c in ch.pop(v):
+        pa[c].discard(v)
+    return added
+
+
+def _drop_ni(g: Dag, tax: Taxonomy) -> tuple[Adjacency, Adjacency, list[list[tuple[str, str]]]]:
+    """The adjacency of ``g`` with N and I eliminated, and the edges that
+    added, as one step.  Children go first, so an N vertex has no child left
+    when it goes and an I vertex has only the treatment."""
+    pa, ch = _adjacency(g)
+    added = []
+    for v in reversed(topo_sort(g)):
+        if v in tax.n or v in tax.i:
+            added += _eliminate(pa, ch, v, tuple(ch[v]))
+    return pa, ch, [added]
+
+
+def _dag(g: Dag, pa: Adjacency, steps: list[list[tuple[str, str]]]) -> Dag:
+    """The graph left in ``pa``: the surviving edges of ``g``, then those
+    each step added, in step order and by the declaration order of their
+    ends.  Building it is the acyclicity check."""
     idx = {v: i for i, v in enumerate(g.vertices)}
-    added.sort(key=lambda e: (idx[e[0]], idx[e[1]]))
-    return Dag(keep, edges + added, g.treatment, g.outcome)
+    edges = list(g.edges)
+    for added in steps:
+        edges += sorted(added, key=lambda e: (idx[e[0]], idx[e[1]]))
+    kept = [e for e in edges if e[0] in pa and e[1] in pa]
+    return Dag([v for v in g.vertices if v in pa], kept, g.treatment, g.outcome)
 
 
 def project_vertex(g: Dag, vi: str, pi: Sequence[str]) -> Dag:
@@ -93,79 +121,55 @@ def project_vertex(g: Dag, vi: str, pi: Sequence[str]) -> Dag:
     every child but the last, its parent set must nest inside the previous
     element's parents (plus that element).  Every parent of ``vi`` and every
     earlier element of ``pi`` gains an edge into each child before ``vi`` is
-    deleted; the result is asserted acyclic.
+    deleted.  A child placed before one of its ancestors gains an edge that
+    closes a cycle, so the acyclicity check of the result checks the order.
     """
     g._check(vi)
     order = tuple(pi)
-    ch = g.children(vi)
-    if set(order) != set(ch) or len(order) != len(ch):
+    children = g.children(vi)
+    if set(order) != set(children) or len(order) != len(children):
         raise GraphError(f"pi must order the children of {vi!r} exactly")
-    for j, u in enumerate(order):
-        anc_u = ancestors(g, {u})
-        for later in order[j + 1 :]:
-            if later in anc_u:
-                raise GraphError("pi is not a topological ordering")
-    prev = vi
-    for cur in order[:-1]:
+    pa, ch = _adjacency(g)
+    try:
+        out = _dag(g, pa, [_eliminate(pa, ch, vi, order)])
+    except CycleError:
+        raise GraphError("pi is not a topological ordering") from None
+    for prev, cur in zip((vi,) + order, order[:-1]):
         if not g.parents(cur) <= g.parents(prev) | {prev}:
             raise GraphError(
                 f"parent nesting violated at {cur!r} when projecting out {vi!r}"
             )
-        prev = cur
-
-    pa_vi = g.parents(vi)
-    edge_set = set(g.edges)
-    added: list[tuple[str, str]] = []
-    predecessors: list[str] = [vi]
-    for child in order:
-        for src in list(pa_vi) + predecessors:
-            e = (src, child)
-            if src != child and e not in edge_set:
-                edge_set.add(e)
-                added.append(e)
-        predecessors.append(child)
-    keep = [v for v in g.vertices if v != vi]
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    added.sort(key=lambda e: (idx[e[0]], idx[e[1]]))
-    edges = [e for e in list(g.edges) + added if e[0] != vi and e[1] != vi]
-    return Dag(keep, edges, g.treatment, g.outcome)
+    return out
 
 
 def reduce(g: Dag, *, order: Iterable[str] | None = None) -> ReductionReport:
     """Run the full reduction and return a :class:`ReductionReport`.
 
     ``g`` is classified and its vertices are judged once; no projection
-    changes the taxonomy or the verdicts of the vertices left.  The vertices
-    whose criterion holds are projected out one at a time, in declaration
-    order by default; ``order`` overrides the visit order (the output graph
-    does not depend on it).
+    changes the taxonomy or the verdicts of the vertices left.  After N and
+    I, the vertices whose criterion holds are eliminated one at a time, in
+    declaration order by default or in ``order`` (the output does not depend
+    on it), and one :class:`Dag` is built at the end.
     """
     tax = classify(g)
-    removed: list[tuple[str, str, tuple[str, ...]]] = []
-    for v in g.vertices:
-        if v in tax.n:
-            removed.append((v, "N", ()))
-        elif v in tax.i:
-            removed.append((v, "I", ()))
-    cur = _drop_ni(g, tax)
-
     verdicts = criterion_verdicts(g, tax)
     loop = list(verdicts) if order is None else list(order)
     if sorted(loop) != sorted(verdicts):
         raise GraphError("order must be a permutation of the non-kept vertices")
 
+    removed = [(v, "N" if v in tax.n else "I", ()) for v in g.vertices if v in tax.n or v in tax.i]
+    pa, ch, steps = _drop_ni(g, tax)
     for v in loop:
         if not verdicts[v].satisfied:
             continue
         # the children in topological order, the treatment last: a W \ O
-        # vertex's other children are in W, and an M vertex's are in M
-        children = cur.children(v)
-        pi = cur.sort_topologically(children - {g.treatment})
-        if g.treatment in children:
+        # vertex's other children are a chain in W, and an M vertex's in M
+        pi = g.sort_topologically(ch[v] - {g.treatment})
+        if g.treatment in ch[v]:
             pi += (g.treatment,)
-        cur = project_vertex(cur, v, pi)
+        steps.append(_eliminate(pa, ch, v, pi))
         removed.append((v, "W-criterion" if v in tax.w else "M-criterion", pi))
-    return ReductionReport(input=g, output=cur, removed=tuple(removed), verdicts=verdicts)
+    return ReductionReport(g, _dag(g, pa, steps), tuple(removed), verdicts)
 
 
 def latent_projection(g: Dag, keep: Iterable[str]) -> LatentProjectionView:
@@ -175,14 +179,10 @@ def latent_projection(g: Dag, keep: Iterable[str]) -> LatentProjectionView:
     vertex marginalized; bidirected a <-> b iff some marginalized vertex
     reaches both a and b through marginalized interiors.
     """
-    keep_set = set()
-    for v in keep:
-        g._check(v)
-        keep_set.add(v)
+    keep_set = _as_set(g, keep)
     if g.treatment not in keep_set or g.outcome not in keep_set:
         raise GraphError("keep must contain the treatment and the outcome")
-    latent = [v for v in g.vertices if v not in keep_set]
-    latent_set = set(latent)
+    latent_set = set(g.vertices) - keep_set
 
     def reach_through_latent(start_children: Iterable[str]) -> set[str]:
         hits: set[str] = set()

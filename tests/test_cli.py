@@ -7,7 +7,7 @@ import pytest
 from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
 from causal_reduce.cli import main
 from causal_reduce.graph import parse_graph
-from conftest import MOTIVATING_TEXT, MOTIVATING_FLIPPED_TEXT, golden
+from conftest import COVARIATE_WEB_TEXT, MOTIVATING_TEXT, MOTIVATING_FLIPPED_TEXT, golden
 
 
 @pytest.fixture()
@@ -53,6 +53,33 @@ class TestCheck:
         assert verdicts["W2"]["failed_clause"] == "ii_b"
 
 
+REDUCED_WEB_STDOUT = """\
+!treatment A
+!outcome Y
+A
+Y
+O3
+O1
+W3
+W4
+O2
+W5
+A -> Y
+O3 -> Y
+O1 -> Y
+O1 -> A
+O2 -> Y
+W5 -> O2
+W5 -> O1
+W3 -> A
+W4 -> A
+O3 -> A
+W3 -> O1
+W4 -> O1
+W5 -> A
+"""
+
+
 class TestReduce:
     def test_reduced_graph_round_trips(self, capsys, motivating_file, tmp_path):
         report_path = tmp_path / "report.json"
@@ -76,6 +103,16 @@ class TestReduce:
                 "chain": ["W4"],
             }
         assert verdicts["W4"]["satisfied"] and verdicts["W1"]["satisfied"]
+
+    def test_stdout_is_pinned(self, capsys, tmp_path):
+        # three I vertices, declared against their elimination order, and
+        # three projections: the input's surviving edges come first, then
+        # the I edges, then each projection's edges in declaration order
+        path = tmp_path / "web.graph"
+        path.write_text(COVARIATE_WEB_TEXT + "I3 -> A\nI2 -> I1\nW4 -> I3\nW3 -> I2\n")
+        code, out, _ = run(capsys, ["reduce", "--graph", str(path)])
+        assert code == 0
+        assert out == REDUCED_WEB_STDOUT
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["reduce", "--graph", str(tmp_path / "nope")])
@@ -189,6 +226,25 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert f"treatment level {level} out of range" in err
 
+    @pytest.mark.parametrize(
+        "estimator, flag, labels, held",
+        [
+            ("adjustment", "--adjust", "Y", "adjustment set may not hold Y"),
+            ("adjustment", "--adjust", "O,A", "adjustment set may not hold A"),
+            ("adjustment", "--adjust", "M", "adjustment set may not hold M"),
+            ("front-door", "--mediators", "O", "mediator set may not hold O"),
+            ("front-door", "--mediators", "M,Y", "mediator set may not hold Y"),
+        ],
+    )
+    def test_set_outside_its_role_rejected(self, capsys, tmp_path, estimator, flag, labels, held):
+        g = golden("front_door")
+        path = tmp_path / "net.json"
+        save_bn(random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05), str(path))
+        argv = ["estimate", "--bn", str(path), "--estimator", estimator, flag, labels]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert held in err
+
     def test_estimate_without_source_is_input_error(self, capsys):
         code, _, err = run(capsys, ["estimate", "--level", "1"])
         assert code == 2
@@ -247,6 +303,25 @@ class TestDataInput:
         code, out, err = estimate_on_csv(capsys, tmp_path, FULL_CELLS_CSV, "g", extra=extra)
         assert code == 2 and out == ""
         assert "laplace must be finite and >= 0" in err
+
+    def test_laplace_outside_the_g_plugin_rejected(self, capsys, tmp_path):
+        extra = ["--laplace", "-1"]
+        code, out, err = estimate_on_csv(capsys, tmp_path, FULL_CELLS_CSV, "adjustment", extra=extra)
+        assert code == 2 and out == ""
+        assert "--laplace applies only to --data with --estimator g" in err
+        g = golden("front_door")
+        path = tmp_path / "net.json"
+        save_bn(random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05), str(path))
+        for laplace in ("nan", "0.5"):
+            code, out, err = run(capsys, ["estimate", "--bn", str(path), "--laplace", laplace])
+            assert code == 2 and out == ""
+            assert "--laplace applies only to --data with --estimator g" in err
+
+    def test_adjustment_set_with_outcome_rejected(self, capsys, tmp_path):
+        extra = ["--adjust", "Y"]
+        code, out, err = estimate_on_csv(capsys, tmp_path, FULL_CELLS_CSV, "adjustment", extra=extra)
+        assert code == 2 and out == ""
+        assert "adjustment set may not hold Y" in err
 
     def test_zero_laplace_is_no_smoothing(self, capsys, tmp_path):
         code, out, _ = estimate_on_csv(capsys, tmp_path, FULL_CELLS_CSV, "g")

@@ -153,6 +153,19 @@ class TestAdjustment:
         with pytest.raises(ZeroConditioningEvent):
             adjustment_exact(bn, {"L"}, 1)
 
+    @pytest.mark.parametrize("L", [{"A"}, {"Y"}, {"M"}, {"O", "M"}])
+    def test_rejects_descendants_of_the_treatment(self, L):
+        bn = law_on("front_door", 4)
+        ds = sample(bn, 200, seed=1)
+        names = ", ".join(v for v in bn.graph.vertices if v in L - {"O"})
+        for route in (
+            lambda: adjustment_exact(bn, L, 1),
+            lambda: adjustment_if_variance(bn, L, 1),
+            lambda: plugin_adjustment(ds, bn.graph, L, 1),
+        ):
+            with pytest.raises(GraphError, match=f"adjustment set may not hold {names}:"):
+                route()
+
 
 class TestFrontDoor:
     def test_agrees_with_g_formula_on_markov_laws(self):
@@ -187,6 +200,13 @@ class TestFrontDoor:
         bn = random_law(gw, {v: 2 for v in gw.vertices}, seed=0, epsilon=0.05)
         gap = abs(front_door_exact(bn, {"M"}, 1) - adjustment_exact(bn, {"O"}, 1))
         assert gap > 0.01
+
+    @pytest.mark.parametrize("mediators", [{"O"}, {"A"}, {"Y"}, {"M", "O"}])
+    def test_rejects_non_mediators(self, mediators):
+        bn = law_on("front_door", 4)
+        names = ", ".join(v for v in bn.graph.vertices if v in mediators - {"M"})
+        with pytest.raises(GraphError, match=f"mediator set may not hold {names}:"):
+            front_door_exact(bn, mediators, 1)
 
     def test_null_treatment_names_the_treatment(self):
         g = parse_graph("!treatment A\n!outcome Y\nA -> M\nM -> Y")

@@ -39,6 +39,18 @@ class TestProjectOutNI:
         assert set(out.vertices) == {"A", "Y", "W"}
         assert out.has_edge("W", "A")
 
+    def test_edges_are_the_latent_projections_directed_part(self, rng):
+        with_i = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 12))
+            g = random_dag(rng, n, float(rng.uniform(0.2, 0.6)), ensure_assumption=True)
+            tax = classify(g)
+            with_i += bool(tax.i)
+            keep = set(g.vertices) - tax.n - tax.i
+            out = project_out_ni(g)
+            assert set(out.edges) == latent_projection(g, keep).directed_edges
+        assert with_i > 20
+
 
 class TestProjectVertex:
     def test_single_child_saturation(self):
@@ -74,7 +86,7 @@ class TestProjectVertex:
         g = parse_graph(
             "!treatment A\n!outcome Y\nA -> Y\nV -> C1\nV -> C2\nC1 -> C2\nC2 -> Y"
         )
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="pi is not a topological ordering"):
             project_vertex(g, "V", ["C2", "C1"])
 
     def test_rejects_nesting_violation(self):
@@ -232,7 +244,8 @@ class TestReduceAgainstRechecking:
 
 
 class TestReduceCost:
-    def test_judges_each_vertex_once(self, monkeypatch):
+    @staticmethod
+    def _chain():
         # W1 -> ... -> W60 -> A -> M1 -> ... -> M20 -> Y, with W60 -> Y and
         # skip edges over one vertex, which keep most mediators
         ws = [f"W{i}" for i in range(1, 61)]
@@ -241,7 +254,26 @@ class TestReduceCost:
         edges = list(zip(chain, chain[1:])) + [("W60", "Y")]
         edges += [(ws[i], ws[i + 2]) for i in range(0, 58, 7)]
         edges += [(ms[i], ms[i + 2]) for i in range(0, 18, 5)]
-        g = Dag(chain, edges, "A", "Y")
+        return Dag(chain, edges, "A", "Y")
+
+    def test_builds_one_dag(self, monkeypatch):
+        g = self._chain()
+        init = Dag.__init__
+        builds = []
+
+        def counted(self, *args, **kw):
+            builds.append(1)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(Dag, "__init__", counted)
+        for order in (None, list(reduce(g).verdicts)[::-1]):
+            builds.clear()
+            report = reduce(g, order=order)
+            assert len(builds) == 1
+            assert len(report.removed) > 40
+
+    def test_judges_each_vertex_once(self, monkeypatch):
+        g = self._chain()
         tax = classify(g)
         calls = Counter()
 
