@@ -71,6 +71,7 @@ from .simulate import (
     SimConfig,
     SimRow,
     SimTable,
+    SkippedReplication,
     build_benchmark_dgp,
     run_simulation,
 )

@@ -348,22 +348,40 @@ class Dataset:
 
 
 def sample(bn: DiscreteBn, n: int, seed: int) -> Dataset:
-    """Ancestral sampling of ``n`` i.i.d. rows; reproducible per seed."""
+    """Ancestral sampling of ``n`` i.i.d. rows; reproducible per seed.
+
+    Vertices are drawn in topological order, one ``rng.random(n)`` each.  A
+    row takes the first state j whose cumulative CPT entry reaches its draw
+    u, found by bisecting the CPT's own cumulative table: one flat row per
+    parent state, padded with +inf to a power-of-two width, and searched in
+    ceil(log2 k) vectorized steps over the first k - 1 entries only, so a
+    row whose float sum ends below u draws the last state k - 1.  The
+    cumulative sums are the same float additions, in the same order, as
+    those of the earlier sampler that gathered each row's CPT entries, so
+    the rows for a seed are those of every earlier release.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     cols: dict[str, np.ndarray] = {}
     for v in topo_sort(bn.graph):
-        parents = bn.parent_order(v)
+        k = bn.cards[v]
         table = bn.cpts[v]
-        if parents:
-            rows = table[tuple(cols[p] for p in parents)]
-        else:
-            rows = np.broadcast_to(table, (n, bn.cards[v]))
-        cum = np.cumsum(rows, axis=1)
+        width = 1 << (k - 1).bit_length()
+        cum = np.full((table.size // k, width), np.inf)
+        cum[:, : k - 1] = np.cumsum(table.reshape(-1, k), axis=1)[:, : k - 1]
+        cum = cum.ravel()
+        parent_cols = tuple(cols[p] for p in bn.parent_order(v))
+        base = np.ravel_multi_index(parent_cols, table.shape[:-1]) * width  # 0 for a root
         u = rng.random(n)
-        states = (u[:, None] > cum).sum(axis=1)
-        cols[v] = np.minimum(states, bn.cards[v] - 1).astype(np.int64)
+        pos = np.full(n, base, dtype=np.int64)
+        step = width >> 1
+        while step:
+            # cum[step - 1:][pos] is cum[pos + step - 1], the last entry of
+            # the next block of ``step``: jump past the block if it is below u
+            pos += step * (cum[step - 1 :].take(pos) < u)
+            step >>= 1
+        cols[v] = pos - base
     data = np.column_stack([cols[v] for v in bn.graph.vertices])
     return Dataset(tuple(bn.graph.vertices), data, dict(bn.cards))
 

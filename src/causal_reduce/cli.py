@@ -147,6 +147,10 @@ def _cmd_estimate(args) -> int:
     mediators = [s for s in (args.mediators or "").split(",") if s]
     if args.laplace is not None and (args.bn or args.estimator != "g"):
         raise GraphError("--laplace applies only to --data with --estimator g")
+    if args.adjust is not None and args.estimator != "adjustment":
+        raise GraphError("--adjust applies only to --estimator adjustment")
+    if args.mediators is not None and args.estimator != "front-door":
+        raise GraphError("--mediators applies only to --estimator front-door")
     if args.bn:
         network = bnmod.load_bn(args.bn)
         if args.estimator == "g":

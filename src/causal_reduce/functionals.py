@@ -158,9 +158,15 @@ def _adjustment_set(g: Dag, L: Iterable[str]) -> set[str]:
 
 
 def _mediator_set(g: Dag, mediators: Iterable[str]) -> set[str]:
-    """The mediators as a set, checked to be descendants of the treatment
-    other than the treatment and the outcome."""
+    """The mediators as a set, checked to be non-empty and to be descendants
+    of the treatment other than the treatment and the outcome.  An empty set
+    intercepts no path from the treatment to the outcome; the front-door
+    formula over it is E[Y], not the interventional mean."""
     Ms = _as_set(g, mediators)
+    if not Ms:
+        raise GraphError(
+            "mediator set is empty: the front-door formula needs at least one mediator"
+        )
     held = Ms - (descendants(g, {g.treatment}) - {g.treatment, g.outcome})
     bad = [v for v in g.vertices if v in held]
     if bad:

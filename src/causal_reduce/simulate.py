@@ -26,6 +26,7 @@ __all__ = [
     "SimConfig",
     "SimRow",
     "SimTable",
+    "SkippedReplication",
     "ESTIMATORS",
     "build_benchmark_dgp",
     "run_simulation",
@@ -74,12 +75,27 @@ class SimRow:
 
 
 @dataclass(frozen=True)
+class SkippedReplication:
+    """A replication that ``on_empty="skip"`` discarded: its index, the seed
+    its sample was drawn with (``derive_seed(cfg.seed, index)``) and the
+    first empty cell a plugin met on it."""
+
+    index: int
+    seed: int
+    cell: tuple[str, tuple[int, ...]]
+
+
+@dataclass(frozen=True)
 class SimTable:
     rows: tuple[SimRow, ...]
-    skipped_replications: int = 0
+    skips: tuple[SkippedReplication, ...] = ()
     estimates: dict[str, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+
+    @property
+    def skipped_replications(self) -> int:
+        return len(self.skips)
 
 
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:
@@ -154,7 +170,8 @@ def run_simulation(
     pair that never co-occurred): ``"error"`` propagates the failure with
     its replication index; ``"skip"`` discards that replication, keeps
     drawing (continuing the seed sequence) until the configured count of
-    estimable replications is reached, and reports the number skipped.
+    estimable replications is reached, and records each one skipped in
+    ``SimTable.skips``.
     """
     if on_empty not in ("error", "skip"):
         raise ValueError("on_empty must be 'error' or 'skip'")
@@ -165,14 +182,15 @@ def run_simulation(
 
     values = {name: np.empty(cfg.replications) for name in ESTIMATORS}
     done = 0
-    skipped = 0
+    skips: list[SkippedReplication] = []
     rep = 0
     while done < cfg.replications:
-        if skipped > 10 * cfg.replications:
+        if len(skips) > 10 * cfg.replications:
             raise EmptyCellError(
-                f"gave up after skipping {skipped} replications", []
+                f"gave up after skipping {len(skips)} replications", []
             )
-        ds = sample(bn, cfg.n, derive_seed(cfg.seed, rep))
+        seed = derive_seed(cfg.seed, rep)
+        ds = sample(bn, cfg.n, seed)
         rep += 1
         try:
             full = plugin_g(ds, g_full, level).value
@@ -180,7 +198,7 @@ def run_simulation(
             adj = plugin_adjustment(ds, g_full, {"O1"}, level).value
         except EmptyCellError as exc:
             if on_empty == "skip":
-                skipped += 1
+                skips.append(SkippedReplication(rep - 1, seed, exc.cells[0]))
                 continue
             raise EmptyCellError(
                 f"replication {rep - 1}: {exc}", exc.cells
@@ -206,7 +224,7 @@ def run_simulation(
         rows.append(SimRow(cfg.n, name, cfg.n * var, se))
     return SimTable(
         tuple(rows),
-        skipped_replications=skipped,
+        skips=tuple(skips),
         estimates=values if keep_estimates else None,
     )
 
@@ -219,6 +237,14 @@ def sim_table_to_dict(cfg: SimConfig, table: SimTable) -> dict:
         "n": cfg.n,
         "replications": cfg.replications,
         "skipped_replications": table.skipped_replications,
+        "skips": [
+            {
+                "index": skip.index,
+                "seed": skip.seed,
+                "cell": {"event": skip.cell[0], "states": list(skip.cell[1])},
+            }
+            for skip in table.skips
+        ],
         "seed": cfg.seed,
         "rows": [
             {

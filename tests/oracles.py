@@ -12,7 +12,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from causal_reduce.graph import Dag
+from causal_reduce.bn import Dataset
+from causal_reduce.graph import Dag, topo_sort
 
 
 def all_simple_paths(g: Dag, src: str, dst: str) -> list[list[str]]:
@@ -316,3 +317,27 @@ def eif_loop(bn, a: int, point: dict[str, int]) -> float:
             bn, t_of, {v: point[v] for v in pa}
         )
     return total
+
+
+def sample_gathered(bn, n: int, seed: int):
+    """The gather-and-compare ancestral sampler ``bn.sample`` replaced: it
+    gathers each row's CPT entries into an (n, k) block, takes its
+    cumulative sum and counts the entries below u.  ``bn.sample`` must
+    return the same rows for every seed."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    cols: dict[str, np.ndarray] = {}
+    for v in topo_sort(bn.graph):
+        parents = bn.parent_order(v)
+        table = bn.cpts[v]
+        if parents:
+            rows = table[tuple(cols[p] for p in parents)]
+        else:
+            rows = np.broadcast_to(table, (n, bn.cards[v]))
+        cum = np.cumsum(rows, axis=1)
+        u = rng.random(n)
+        states = (u[:, None] > cum).sum(axis=1)
+        cols[v] = np.minimum(states, bn.cards[v] - 1).astype(np.int64)
+    data = np.column_stack([cols[v] for v in bn.graph.vertices])
+    return Dataset(tuple(bn.graph.vertices), data, dict(bn.cards))

@@ -20,8 +20,9 @@ from causal_reduce.bn import (
     validate,
 )
 from causal_reduce.graph import Dag, d_separated
-from conftest import golden
-from oracles import joint_prob_loop, random_dag
+from causal_reduce.simulate import DEFAULTS, SimConfig, build_benchmark_dgp
+from conftest import LAW_SUITE, golden
+from oracles import joint_prob_loop, random_dag, sample_gathered
 
 
 def coin_pair() -> DiscreteBn:
@@ -181,6 +182,68 @@ class TestSample:
     def test_derive_seed_distinct(self):
         seeds = {derive_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+def assert_same_stream(bn: DiscreteBn, n: int, seeds) -> None:
+    for seed in seeds:
+        rows = sample(bn, n, seed).rows
+        assert np.array_equal(rows, sample_gathered(bn, n, seed).rows), seed
+
+
+class TestSampleStream:
+    """``sample`` draws exactly the rows of the gather-and-compare sampler."""
+
+    @pytest.mark.parametrize("design, n", [("a", 10_000), ("b", 25_000)])
+    def test_benchmark_designs(self, design, n):
+        cfg = SimConfig(design, n=n, replications=1, seed=0, **DEFAULTS[design])
+        assert_same_stream(build_benchmark_dgp(cfg), n, range(5))
+
+    @pytest.mark.parametrize("name", LAW_SUITE)
+    def test_law_suite(self, name, rng):
+        g = golden(name)
+        cards = {v: int(rng.integers(2, 5)) for v in g.vertices}
+        bn = random_law(g, cards, seed=int(rng.integers(10**6)), epsilon=0.02)
+        assert_same_stream(bn, 3000, (0, 1, 2))
+
+    def test_zero_probability_states_never_drawn(self):
+        g = golden("motivating_slim")
+        cards = {v: 4 for v in g.vertices}
+        bn = random_law(g, cards, seed=3, epsilon=0.02)
+        for i, v in enumerate(g.vertices):
+            table = np.array(bn.cpts[v])
+            zero = i % 4  # the first, an inner or the last state
+            table[..., zero] = 0.0
+            table[..., (zero + 1) % 4] += 1.0 - table.sum(axis=-1)
+            bn = bn.with_cpt(v, table)
+        validate(bn)
+        assert_same_stream(bn, 20_000, (0, 1, 2))
+        ds = sample(bn, 20_000, seed=4)
+        for v in g.vertices:
+            idx = tuple(ds.column(p) for p in bn.parent_order(v)) + (ds.column(v),)
+            assert np.all(bn.cpts[v][idx] > 0.0), v
+
+    def test_cardinality_one(self):
+        g = Dag(("C", "A", "Y"), (("C", "A"), ("C", "Y"), ("A", "Y")), "A", "Y")
+        cards = {"C": 1, "A": 3, "Y": 2}
+        bn = random_law(g, cards, seed=2, epsilon=0.05)
+        assert_same_stream(bn, 5000, (0, 1))
+        assert np.all(sample(bn, 5000, seed=0).column("C") == 0)
+
+    def test_row_sum_below_one_draws_the_last_state(self):
+        g = golden("trivial")
+        y = np.array([[0.3, 0.3, 0.4 - 1e-13], [0.2, 0.2, 0.2]])
+        bn = DiscreteBn(g, {"A": 2, "Y": 3}, {"A": np.array([0.5, 0.5]), "Y": y})
+        assert_same_stream(bn, 20_000, (0, 1, 2))
+        ds = sample(bn, 20_000, seed=0)
+        # a float sum of 0.6 leaves u in [0.6, 1) to the clamp: state 2
+        share = (ds.column("Y")[ds.column("A") == 1] == 2).mean()
+        assert abs(share - 0.6) < 0.02
+
+    def test_parents_declared_out_of_topological_order(self):
+        g = Dag(("Y", "B", "A"), (("B", "Y"), ("A", "Y"), ("A", "B")), "A", "Y")
+        assert g.parent_list("Y") == ("A", "B")
+        bn = random_law(g, {"A": 4, "B": 3, "Y": 2}, seed=6, epsilon=0.02)
+        assert_same_stream(bn, 5000, (0, 1, 2))
 
 
 class TestSerialization:

@@ -245,6 +245,38 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert held in err
 
+    def test_front_door_without_mediators_rejected(self, capsys, tmp_path):
+        g = golden("front_door")
+        path = tmp_path / "net.json"
+        save_bn(random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05), str(path))
+        code, out, err = run(capsys, ["estimate", "--bn", str(path), "--estimator", "front-door"])
+        assert code == 2 and out == ""
+        assert "mediator set is empty" in err
+
+    @pytest.mark.parametrize(
+        "estimator, flag, labels, reader",
+        [
+            ("g", "--adjust", "Y", "adjustment"),
+            ("front-door", "--adjust", "O", "adjustment"),
+            ("eif-variance", "--mediators", "O", "front-door"),
+            ("adjustment", "--mediators", "M", "front-door"),
+        ],
+    )
+    def test_set_flag_the_estimator_does_not_read_rejected(
+        self, capsys, tmp_path, estimator, flag, labels, reader
+    ):
+        g = golden("front_door")
+        path = tmp_path / "net.json"
+        save_bn(random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05), str(path))
+        argv = ["estimate", "--bn", str(path), "--estimator", estimator, flag, labels]
+        if estimator == "adjustment":
+            argv += ["--adjust", "O"]
+        if estimator == "front-door":
+            argv += ["--mediators", "M"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"{flag} applies only to --estimator {reader}" in err
+
     def test_estimate_without_source_is_input_error(self, capsys):
         code, _, err = run(capsys, ["estimate", "--level", "1"])
         assert code == 2
@@ -383,3 +415,4 @@ class TestSimulate:
         payload = json.loads(dest.read_text())
         assert payload["m"] == 5 and payload["k"] == 50
         assert len(payload["rows"]) == 3
+        assert payload["skipped_replications"] == 0 and payload["skips"] == []

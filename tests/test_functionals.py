@@ -208,6 +208,11 @@ class TestFrontDoor:
         with pytest.raises(GraphError, match=f"mediator set may not hold {names}:"):
             front_door_exact(bn, mediators, 1)
 
+    def test_rejects_empty_mediator_set(self):
+        bn = law_on("front_door", 4)
+        with pytest.raises(GraphError, match="mediator set is empty"):
+            front_door_exact(bn, [], 1)
+
     def test_null_treatment_names_the_treatment(self):
         g = parse_graph("!treatment A\n!outcome Y\nA -> M\nM -> Y")
         bn = random_law(g, {v: 2 for v in g.vertices}, seed=1, epsilon=0.05)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from causal_reduce.bn import validate
-from causal_reduce.functionals import EmptyCellError
+from causal_reduce.bn import derive_seed, sample, validate
+from causal_reduce.functionals import EmptyCellError, plugin_adjustment, plugin_g
 from causal_reduce.reduction import reduce
 from causal_reduce.simulate import (
     SimConfig,
@@ -223,3 +223,29 @@ def test_skip_mode_estimates_are_pinned(design):
     assert set(table.estimates) == set(estimates)
     for name, expected in estimates.items():
         np.testing.assert_allclose(table.estimates[name], expected, rtol=0, atol=1e-12)
+
+
+def test_skips_name_their_seed_and_empty_cell():
+    cfg, skipped, _ = GOLDEN_RUNS["a"]
+    table = run_simulation(cfg, on_empty="skip")
+    assert len(table.skips) == skipped == 14
+    bn = build_benchmark_dgp(cfg)
+    g_reduced = reduce(bn.graph).output
+    for skip in table.skips:
+        assert skip.seed == derive_seed(cfg.seed, skip.index)
+        ds = sample(bn, cfg.n, skip.seed)
+        with pytest.raises(EmptyCellError) as err:
+            plugin_g(ds, bn.graph, 1)
+            plugin_g(ds, g_reduced, 1)
+            plugin_adjustment(ds, bn.graph, {"O1"}, 1)
+        assert err.value.cells[0] == skip.cell
+    payload = sim_table_to_dict(cfg, table)
+    assert payload["skipped_replications"] == 14
+    assert payload["skips"] == [
+        {
+            "index": skip.index,
+            "seed": skip.seed,
+            "cell": {"event": skip.cell[0], "states": list(skip.cell[1])},
+        }
+        for skip in table.skips
+    ]
