@@ -60,6 +60,7 @@ from .functionals import (
     eif_exact,
     eif_variance,
     eif_variance_for_graph,
+    eif_variance_terms,
     front_door_exact,
     g_functional_exact,
     g_functional_for_graph,

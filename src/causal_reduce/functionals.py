@@ -13,6 +13,7 @@ pure given their inputs.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,6 +45,7 @@ __all__ = [
     "eif_exact",
     "eif_variance",
     "eif_variance_for_graph",
+    "eif_variance_terms",
     "adjustment_if_variance",
     "plugin_g",
     "plugin_adjustment",
@@ -396,22 +398,99 @@ def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:
     return support
 
 
-def _eif_variance(bn: DiscreteBn, graph: Dag, a: int) -> float:
+# Past this many cells of the influence function's support U, each family's
+# table is contracted from the CPTs instead of summed from the dense law over
+# U.  Dense cost grows with U's cells, contraction cost with the number of
+# families.  Per eif_variance call, on a 2-core x86 box (numpy 2.4): at 972
+# cells (7 vertices in U) dense took 0.50-0.70 ms and contraction 0.98-1.43
+# ms; at 59 049 cells (10 vertices) dense took 8.8-14.4 ms and contraction
+# 3.0-3.2 ms.  The two crossed between 4 608 and 10 368 cells on an
+# 11-vertex U and between 5 184 and 11 664 on a 10-vertex U.
+_DENSE_EIF_CELLS = 2**14
+
+
+def _family_term(p: np.ndarray, pf: np.ndarray, i: int) -> float:
+    """E[(E[f | pa(v), v] - E[f | pa(v)])^2] from the tables P and P·f over
+    v's family, ``i`` the axis of v."""
+    pa_mean = _ratio(pf.sum(axis=i, keepdims=True), p.sum(axis=i, keepdims=True))
+    diff = _ratio(pf, p) - pa_mean
+    return float((p * diff * diff).sum())
+
+
+def eif_variance_terms(bn: DiscreteBn, graph: Dag, a: int) -> dict[str, float]:
+    """The per-vertex terms of the variance bound under ``graph``: for each
+    v in W and M, in ``graph``'s vertex order, E[term_v^2] with term_v =
+    E[f | pa(v), v] - E[f | pa(v)], f = b(O) = E[Y | A=a, O] for v in W and
+    f = T = 1{A=a}Y/P(A=a | O_min) for v in M (:func:`_build_context`).
+    Each term has mean zero given v's non-descendants, so under a law Markov
+    relative to ``graph`` the terms are uncorrelated and their sum is the
+    variance of the influence function.  An uninformative vertex's term
+    need not be zero."""
     tax = classify(graph)
-    labels, joint = _law_over(bn, _eif_support(graph, tax))
-    ctx = _build_context(graph, tax, bn.cards, labels, joint, a)
-    return float((ctx.joint * ctx.values**2).sum())
+    treat, y = graph.treatment, graph.outcome
+    _check_level(bn.cards, treat, a)
+    # one law for b and rho: the dense law over the support U while it is
+    # small, which then also gives every family's table; else the law over
+    # O ∪ {A, Y}, with each family's table contracted from the CPTs
+    support = _eif_support(graph, tax)
+    dense = math.prod(bn.cards[v] for v in support) <= _DENSE_EIF_CELLS
+    labels, law = _law_over(bn, support if dense else tax.o | {treat, y})
+
+    # b(O) = E[Y | A=a, O] and rho(O_min) = P(A=a | O_min)
+    y_vals = _value_axis(labels, bn.cards, y)
+    b_arr = _expect_given(law, labels, y_vals, tax.o | {treat})
+    b_arr = b_arr.take([a], axis=labels.index(treat))
+    ind_a = _indicator(labels, bn.cards, treat, a)
+    p_omin = _sum_to(law, labels, tax.o_min)
+    rho_arr = _ratio(_sum_to(law * ind_a, labels, tax.o_min), p_omin)
+    message = f"P({treat}={a} | O_min) = 0 on a positive-probability event"
+    _require(p_omin, rho_arr, PositivityError, message, _event(labels, tax.o_min, treat))
+    t_arr = _ratio(ind_a * y_vals, rho_arr)
+
+    # each family's table is [P, P·f], stacked on a leading axis
+    terms: dict[str, float] = {}
+    for f_arr, over, group in (
+        (b_arr, tax.o, tax.w), (t_arr, tax.o_min | {treat, y}, tax.m)
+    ):
+        members = [v for v in graph.vertices if v in group]
+        if not members:
+            continue
+        if dense:
+            stacked = np.array([law, law * f_arr])
+        else:
+            stack = max(bn.cards, key=len) + "'"  # longer than every vertex name
+            cards = {**bn.cards, stack: 2}
+            f_axes = tuple(v for v in labels if v in over)
+            f = f_arr.reshape([bn.cards[v] for v in f_axes])
+            f_factor = ((stack,) + f_axes, np.array([np.ones_like(f), f]))
+        for v in members:
+            keep = graph.parents(v) | {v}
+            fam = [u for u in bn.graph.vertices if u in keep]
+            if dense:
+                drop = tuple(i + 1 for i, u in enumerate(labels) if u not in keep)
+                p, pf = stacked.sum(axis=drop)
+            else:
+                factors = cpt_factors(bn, keep | set(f_axes)) + [f_factor]
+                p, pf = contract(factors, cards, [stack] + fam)
+            terms[v] = _family_term(p, pf, fam.index(v))
+    return {v: terms[v] for v in graph.vertices if v in terms}
 
 
 def eif_variance(bn: DiscreteBn, a: int) -> float:
-    """Semiparametric variance bound: variance of the influence function."""
-    return _eif_variance(bn, bn.graph, a)
+    """Semiparametric variance bound: variance of the influence function,
+    the sum of the network's own :func:`eif_variance_terms`."""
+    return sum(eif_variance_terms(bn, bn.graph, a).values())
 
 
 def eif_variance_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     """Variance bound computed under ``graph`` for the (marginal) law of the
-    network restricted to ``graph.vertices``."""
-    return _eif_variance(bn, graph, a)
+    network restricted to ``graph.vertices``: the sum of the per-family
+    :func:`eif_variance_terms`.  That sum is the bound for a law Markov
+    relative to ``graph``, as the network's law is relative to its own
+    graph and its marginal is relative to ``reduce(bn.graph).output``.  No
+    table over the influence function's whole support is formed past
+    2**14 cells; each family's table is then contracted from the CPTs."""
+    return sum(eif_variance_terms(bn, graph, a).values())
 
 
 def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:

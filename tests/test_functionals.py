@@ -25,6 +25,7 @@ from causal_reduce.functionals import (
     eif_exact,
     eif_variance,
     eif_variance_for_graph,
+    eif_variance_terms,
     front_door_exact,
     g_functional_exact,
     g_functional_for_graph,
@@ -582,6 +583,105 @@ class TestChainPastDenseJoint:
         # a marginal over 26 binary vertices has 2**26 > 10**7 cells
         with pytest.raises(EnumerationLimitError):
             adjustment_exact(bn, ws[-26:], 1)
-        # the influence function of the full chain depends on every vertex
-        with pytest.raises(EnumerationLimitError):
-            eif_variance(bn, 1)
+        # the influence function of the full chain depends on every vertex,
+        # but each term of its variance needs only one family's table
+        red = reduce(bn.graph).output
+        assert abs(eif_variance(bn, 1) - eif_variance_for_graph(bn, red, 1)) <= 1e-10
+
+
+# -- the variance bound as a sum of per-family terms ----------------------------
+
+# the covariate web with its I vertex replaced by two mediators: 13 vertices,
+# every one of them in the influence function's support
+MEDIATED_WEB_TEXT = """\
+!treatment A
+!outcome Y
+A -> M1
+M1 -> M2
+M2 -> Y
+A -> Y
+W1 -> A
+W1 -> O3
+O3 -> Y
+O1 -> Y
+O1 -> A
+W2 -> A
+W2 -> O1
+W3 -> W2
+W4 -> W2
+O2 -> Y
+W5 -> O2
+W5 -> O1
+W5 -> W2
+W5 -> W6
+W6 -> O2
+"""
+
+
+def _dense_bound(bn):
+    ctx = EifContext.build(bn, 1)
+    return float((ctx.joint * ctx.values**2).sum())
+
+
+def _zero_treatment_row(bn, row):
+    table = np.array(bn.cpts["A"])
+    table[row] = 0.0
+    table[row + (0,)] = 1.0
+    return bn.with_cpt("A", table)
+
+
+class TestVarianceTerms:
+    @pytest.mark.parametrize("name", ["motivating", "mediator_chain", "covariate_web", "zoo"])
+    def test_bound_is_the_sum_of_the_terms(self, name):
+        g = golden(name)
+        red = reduce(g).output
+        for seed in range(3):
+            bn = law_on(name, seed)
+            for graph, bound in ((g, eif_variance(bn, 1)), (red, eif_variance_for_graph(bn, red, 1))):
+                terms = eif_variance_terms(bn, graph, 1)
+                tax = classify(graph)
+                assert list(terms) == [v for v in graph.vertices if v in tax.w | tax.m]
+                assert all(t >= 0.0 for t in terms.values())
+                assert bound == sum(terms.values())
+
+    def test_contraction_past_the_dense_support_matches_the_dense_bound(self):
+        # U holds 2**15 cells on the 15-vertex chain and 5**7 on motivating
+        chain, ws = chain_law(15)
+        g = golden("motivating")
+        bns = [chain, random_law(g, {v: 5 for v in g.vertices}, seed=4, epsilon=0.02)]
+        for bn in bns:
+            want = _dense_bound(bn)
+            assert abs(eif_variance(bn, 1) - want) <= 1e-12 * want
+        # P(A=1 | W13=0) = 0 on the chain; A=1 never occurs on motivating
+        cells = []
+        for bn in (_zero_treatment_row(bns[0], (0,)), _zero_treatment_row(bns[1], (slice(None),))):
+            with pytest.raises(PositivityError) as dense:
+                EifContext.build(bn, 1)
+            with pytest.raises(PositivityError) as got:
+                eif_variance(bn, 1)
+            cells.append(got.value.cell)
+            assert got.value.cell == dense.value.cell
+        assert cells == [("W13", (0,)), ("O1", (0,))]
+
+    def test_forms_no_table_past_the_dense_limit(self, monkeypatch):
+        import math
+
+        import causal_reduce.bn as bn_module
+        import causal_reduce.functionals as functionals
+
+        g = parse_graph(MEDIATED_WEB_TEXT)
+        tax = classify(g)
+        assert len(g.vertices) == 13 and not tax.n | tax.i
+        bn = random_law(g, {v: 3 for v in g.vertices}, seed=1, epsilon=0.02)
+        asked = []
+        check = bn_module.check_enumerable
+
+        def recorded(cards):
+            cards = list(cards)
+            asked.append(math.prod(cards))
+            check(cards)
+
+        monkeypatch.setattr(bn_module, "check_enumerable", recorded)
+        monkeypatch.setattr(functionals, "check_enumerable", recorded)
+        assert eif_variance(bn, 1) > 0.0
+        assert asked and max(asked) <= 2**14
