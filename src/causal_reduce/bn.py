@@ -92,7 +92,11 @@ def check_enumerable(cards: Iterable[int]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteBn:
-    """A Dag plus finite state spaces and conditional probability tables."""
+    """A Dag plus finite state spaces and conditional probability tables.
+
+    Construction checks each CPT's shape, then runs :func:`validate`: an
+    entry outside [0, 1] or a row that does not sum to 1 within 1e-12
+    raises :class:`NormalizationError`."""
 
     graph: Dag
     cards: dict[str, int]
@@ -128,6 +132,7 @@ class DiscreteBn:
             table.setflags(write=False)
             norm[v] = table
         object.__setattr__(self, "cpts", norm)
+        validate(self)
 
     def parent_order(self, v: str) -> tuple[str, ...]:
         return self._parents[v]
@@ -410,8 +415,9 @@ def bn_to_json(bn: DiscreteBn) -> dict:
 
 
 def bn_from_json(payload: dict) -> DiscreteBn:
-    """Inverse of :func:`bn_to_json`; the network is validated on the way in,
-    so a CPT row that does not sum to 1 raises :class:`NormalizationError`."""
+    """Inverse of :func:`bn_to_json`; like every network, it is validated on
+    construction, so a CPT row that does not sum to 1 raises
+    :class:`NormalizationError`."""
     gspec = payload["graph"]
     g = Dag(
         gspec["vertices"],
@@ -431,9 +437,7 @@ def bn_from_json(payload: dict) -> DiscreteBn:
             )
         shape = tuple(cards[p] for p in declared) + (cards[v],)
         cpts[v] = np.asarray(spec["table"], dtype=float).reshape(shape)
-    bn = DiscreteBn(g, cards, cpts)
-    validate(bn)
-    return bn
+    return DiscreteBn(g, cards, cpts)
 
 
 def load_bn(path: str) -> DiscreteBn:

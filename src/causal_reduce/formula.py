@@ -169,9 +169,11 @@ def parse_json(text: str) -> GFormula:
 
 def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
     """Evaluate the formula against a network's law, exactly, as
-    :func:`~causal_reduce.functionals.g_functional_for_graph` does: the
-    conditionals come from the marginal law over the formula's labels, so the
+    :func:`~causal_reduce.functionals.g_functional_for_graph` does: each
+    conditional comes from the marginal law over its factor's labels, so the
     formula may come from a reduced graph; every label must be a vertex.
+    The conditionals are contracted family by family, and past 2**14 cells
+    no table over all the labels is formed.
     """
     if set(f.sum_vars) != {fa.child for fa in f.factors}:
         raise GraphError("formula must carry one factor per summation variable")

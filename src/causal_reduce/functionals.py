@@ -133,10 +133,15 @@ def _indicator(
     return (_value_axis(labels, cards, v) == a).astype(float)
 
 
+def _labels(bn: DiscreteBn, vertices: Iterable[str]) -> list[str]:
+    """``vertices``, each checked to be the network's, in declaration order."""
+    wanted = _as_set(bn.graph, vertices)
+    return [v for v in bn.graph.vertices if v in wanted]
+
+
 def _law_over(bn: DiscreteBn, vertices: Iterable[str]) -> tuple[list[str], np.ndarray]:
     """The network's marginal over ``vertices``, axes in declaration order."""
-    wanted = _as_set(bn.graph, vertices)
-    labels = [v for v in bn.graph.vertices if v in wanted]
+    labels = _labels(bn, vertices)
     return labels, marginal(bn, labels)
 
 
@@ -196,29 +201,33 @@ def g_functional_exact(bn: DiscreteBn, a: int) -> float:
 
 
 def _g_formula(
-    law: Callable[[set[str]], np.ndarray], labels: Sequence[str], cards: Mapping[str, int],
+    law: Callable[[list[str]], np.ndarray], labels: Sequence[str], cards: Mapping[str, int],
     factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int,
 ) -> float:
     """A truncated factorization, one ``(child, parents)`` factor per summed
     vertex, with the treatment fixed at ``a`` where it is a parent.  Each
-    conditional is read from ``law(keep)``: a law, or counts, over the
-    formula's ``labels`` summed down to ``keep`` (the other axes kept as
-    size 1).
+    conditional is read from ``law(family)``: a law, or counts, over the
+    factor's family, its axes in ``labels`` order (the other labels' axes
+    may be kept as size 1).  The conditionals are contracted with Y's values
+    down to a scalar, so no table wider than the contraction needs is
+    formed.
 
     A needed conditional on a zero-probability event raises: with the
     treatment among its parents it is a :class:`PositivityError`, otherwise
     a :class:`ZeroConditioningEvent`; the error's ``cell`` is the child with
-    the states of its other parents, in their order in the factor.
+    the states of its other parents, in their order in the factor, and of
+    the needed cells it is the first in C order over those parents taken in
+    ``labels`` order.
     """
     _check_level(cards, treat, a)
-    check_enumerable(cards[v] for v in labels if v != treat)
-    total = np.ones([1] * len(labels))
-    undefined = []
+    conds, undefined = [], []
     for child, parents in factors:
-        num = law({child, *parents})
+        fam = [v for v in labels if v == child or v in parents]
+        num = law(fam).reshape([cards[v] for v in fam])
         if treat in parents:
-            num = num.take([a], axis=labels.index(treat))
-        den = num.sum(axis=labels.index(child), keepdims=True)
+            num = num.take(a, axis=fam.index(treat))
+            fam.remove(treat)
+        den = num.sum(axis=fam.index(child), keepdims=True)
         defined = den > 0.0
         if defined.all():
             cond = num / den
@@ -226,22 +235,55 @@ def _g_formula(
             # undefined cells weigh 1 so that only the defined factors decide
             # whether a configuration, and so the cell, is needed
             cond = _ratio(num, den) + ~defined
-            undefined.append((child, tuple(parents), den))
-        total = total * cond
-    for child, parents, den in undefined:
+            undefined.append((child, tuple(parents), fam, den))
+        conds.append((tuple(fam), cond))
+    for child, parents, fam, den in undefined:
         error = PositivityError if treat in parents else ZeroConditioningEvent
         message = f"p({child} | {', '.join(parents)}) at {treat}={a} needs a null event"
-        given = [labels.index(v) for v in parents if v != treat]
-        _require(total, den, error, message, (child, given))
-    return float((total * _value_axis(labels, cards, y)).sum())
+        # the product summed down to the other parents: positive where some
+        # needed configuration holds their states
+        given = [v for v in fam if v != child]
+        weight = contract(conds, cards, given)
+        where = (child, [given.index(v) for v in parents if v != treat])
+        _require(weight, den.reshape(weight.shape), error, message, where)
+    y_vals = ((y,), np.arange(cards[y], dtype=float))
+    return float(contract(conds + [y_vals], cards, ()))
+
+
+# Past this many cells of the law over the vertices a computation reads, the
+# exact layer contracts each family's table from the CPTs instead of summing
+# it from that law: the influence function's support U in eif_variance_terms,
+# a g-formula's labels in _g_formula_exact.  Dense cost grows with those
+# cells, contraction cost with the number of families.  Per eif_variance
+# call, on a 2-core x86 box (numpy 2.4): at 972 cells (7 vertices in U) dense
+# took 0.50-0.70 ms and contraction 0.98-1.43 ms; at 59 049 cells (10
+# vertices) dense took 8.8-14.4 ms and contraction 3.0-3.2 ms.  The two
+# crossed between 4 608 and 10 368 cells on an 11-vertex U and between 5 184
+# and 11 664 on a 10-vertex U.  For the g-formula, one law over the labels
+# summed per family, against one contraction per family, took the
+# benchmark's exact_small workload (laws of at most 8 vertices) from 539 to
+# 599 items/s on the same box, median of 10 alternated 25 s pairs, better
+# in 8 of them.
+_DENSE_CELLS = 2**14
+
+
+def _dense(cards: Mapping[str, int], vertices: Iterable[str]) -> bool:
+    """Whether the law over ``vertices`` is small enough to form densely."""
+    return math.prod(cards[v] for v in vertices) <= _DENSE_CELLS
 
 
 def _g_formula_exact(
     bn: DiscreteBn, factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int
 ) -> float:
-    """:func:`_g_formula` read from the law of ``bn`` over its vertices."""
-    labels, joint = _law_over(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
-    return _g_formula(partial(_sum_to, joint, labels), labels, bn.cards, factors, treat, y, a)
+    """:func:`_g_formula` read from the law of ``bn``: each family's table is
+    summed from the law over the formula's labels while that is dense, and
+    otherwise contracted from the CPTs on its own."""
+    labels = _labels(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
+    if _dense(bn.cards, labels):
+        law = partial(_sum_to, marginal(bn, labels), labels)
+    else:
+        law = partial(marginal, bn)
+    return _g_formula(law, labels, bn.cards, factors, treat, y, a)
 
 
 def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
@@ -249,7 +291,11 @@ def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
 
     ``graph.vertices`` may be a subset of the network's vertices, in which
     case the marginal law is used; this computes the reduced-graph
-    functional of the marginal law in one step.
+    functional of the marginal law in one step.  Each conditional is read
+    from the law over its family, summed from the law over
+    ``graph.vertices`` while that has at most 2**14 cells and contracted
+    from the CPTs past that, and the conditionals are contracted together:
+    the full graph of a 60-vertex chain answers.
     """
     treat = graph.treatment
     factors = [(v, graph.parent_list(v)) for v in graph.vertices if v != treat]
@@ -398,17 +444,6 @@ def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:
     return support
 
 
-# Past this many cells of the influence function's support U, each family's
-# table is contracted from the CPTs instead of summed from the dense law over
-# U.  Dense cost grows with U's cells, contraction cost with the number of
-# families.  Per eif_variance call, on a 2-core x86 box (numpy 2.4): at 972
-# cells (7 vertices in U) dense took 0.50-0.70 ms and contraction 0.98-1.43
-# ms; at 59 049 cells (10 vertices) dense took 8.8-14.4 ms and contraction
-# 3.0-3.2 ms.  The two crossed between 4 608 and 10 368 cells on an
-# 11-vertex U and between 5 184 and 11 664 on a 10-vertex U.
-_DENSE_EIF_CELLS = 2**14
-
-
 def _family_term(p: np.ndarray, pf: np.ndarray, i: int) -> float:
     """E[(E[f | pa(v), v] - E[f | pa(v)])^2] from the tables P and P·f over
     v's family, ``i`` the axis of v."""
@@ -433,7 +468,7 @@ def eif_variance_terms(bn: DiscreteBn, graph: Dag, a: int) -> dict[str, float]:
     # small, which then also gives every family's table; else the law over
     # O ∪ {A, Y}, with each family's table contracted from the CPTs
     support = _eif_support(graph, tax)
-    dense = math.prod(bn.cards[v] for v in support) <= _DENSE_EIF_CELLS
+    dense = _dense(bn.cards, support)
     labels, law = _law_over(bn, support if dense else tax.o | {treat, y})
 
     # b(O) = E[Y | A=a, O] and rho(O_min) = P(A=a | O_min)
@@ -516,16 +551,14 @@ def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
 # -- plugin estimators -------------------------------------------------------
 
 def _counts(
-    ds: Dataset, labels: Sequence[str], cards: Mapping[str, int], keep: Iterable[str],
-    add: float = 0.0,
+    ds: Dataset, axes: Sequence[str], cards: Mapping[str, int], add: float = 0.0
 ) -> np.ndarray:
-    """The counts of the states of the ``keep`` columns of ``ds``, plus
-    ``add``, as a table over ``labels`` with the other axes kept as size 1."""
-    axes = [v for v in labels if v in keep]
+    """The counts of the states of the ``axes`` columns of ``ds``, plus
+    ``add``, one axis per column in that order; refused past the guard."""
     shape = [cards[v] for v in axes]
+    check_enumerable(shape)
     flat = np.ravel_multi_index([ds.column(v) for v in axes], shape)
-    counts = np.bincount(flat, minlength=int(np.prod(shape))) + add
-    return counts.reshape([cards[v] if v in keep else 1 for v in labels])
+    return (np.bincount(flat, minlength=math.prod(shape)) + add).reshape(shape)
 
 
 def _data_cards(ds: Dataset, labels: Sequence[str], treat: str, a: int) -> dict[str, int]:
@@ -555,17 +588,22 @@ def plugin_g(
     """Maximum-likelihood plugin of the g-formula under ``g``.
 
     The g-formula kernel with each conditional read from the counts of its
-    family's columns.  A conditioning cell that carries positive weight but
-    was never observed raises :class:`EmptyCellError`, whose ``cells`` hold
-    the child with the state of its other parents; pass ``laplace`` to add
-    it to every family count instead (explicit opt-in); it must be finite
-    and at least 0, and 0 adds nothing.
+    family's columns, and the conditionals contracted together, so no table
+    is wider than the contraction needs: a full graph of many covariates (a
+    26-vertex binary chain: 2**26 cells, families of at most 8) gives its
+    plugin, which equals the reduced graph's.
+
+    A conditioning cell that carries positive weight but was never observed
+    raises :class:`EmptyCellError`, whose ``cells`` hold the child with the
+    state of its other parents; pass ``laplace`` to add it to every family
+    count instead (explicit opt-in); it must be finite and at least 0, and 0
+    adds nothing.
     """
     if laplace is not None and not 0.0 <= laplace < np.inf:
         raise ValueError(f"laplace must be finite and >= 0, got {laplace}")
     labels = list(g.vertices)
     cards = _data_cards(dataset, labels, g.treatment, a)
-    law = partial(_counts, dataset, labels, cards, add=laplace or 0.0)
+    law = partial(_counts, dataset, cards=cards, add=laplace or 0.0)
     factors = [(v, g.parent_list(v)) for v in labels if v != g.treatment]
     with _empty_cells():
         value = _g_formula(law, labels, cards, factors, g.treatment, g.outcome, a)
@@ -582,7 +620,7 @@ def plugin_adjustment(
     Ls = _adjustment_set(g, L)
     labels = [v for v in g.vertices if v in Ls | {g.treatment, g.outcome}]
     cards = _data_cards(dataset, labels, g.treatment, a)
-    joint = _counts(dataset, labels, cards, labels) / dataset.n
+    joint = _counts(dataset, labels, cards) / dataset.n
     with _empty_cells():
         value = _adjustment(labels, joint, Ls, g.treatment, g.outcome, a)
     return EstimateReport("adjustment", value, dataset.n)

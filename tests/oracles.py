@@ -275,6 +275,44 @@ def g_functional_loop(bn, a: int) -> float:
     return total
 
 
+def g_formula_dense(table: np.ndarray, labels, factors, treat: str, y: str, a: int):
+    """A g-formula as one dense product over ``labels``, its conditionals
+    read from ``table``, a law or counts with one axis per label in that
+    order; ``factors`` hold one ``(child, parents)`` per summed label.
+
+    Returns the value, or, when a needed conditional is on an event of zero
+    weight, a list with one ``(child, cells)`` per factor that has one, in
+    factor order, ``cells`` holding the states of the child's parents other
+    than ``treat``.  A configuration is needed where every defined
+    conditional is positive."""
+    total = np.ones([1] * len(labels))
+    holes = []
+    for child, parents in factors:
+        drop = tuple(i for i, v in enumerate(labels) if v != child and v not in parents)
+        num = table.sum(axis=drop, keepdims=True)
+        if treat in parents:
+            num = num.take([a], axis=labels.index(treat))
+        den = num.sum(axis=labels.index(child), keepdims=True)
+        total = total * np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 1.0)
+        holes.append((child, [v for v in parents if v != treat], den <= 0.0))
+    null = []
+    for child, given, hole in holes:
+        at = [labels.index(v) for v in given]
+        other = tuple(i for i in range(len(labels)) if i not in at)
+        mask = (np.broadcast_to(hole, total.shape) & (total > 0.0)).any(axis=other)
+        if mask.any():
+            # ``mask`` has the given axes in ``labels`` order
+            order = sorted(at)
+            cells = {tuple(int(c[order.index(i)]) for i in at) for c in np.argwhere(mask)}
+            null.append((child, cells))
+    if null:
+        return null
+    shape = [1] * len(labels)
+    shape[labels.index(y)] = -1
+    y_vals = np.arange(table.shape[labels.index(y)], dtype=float).reshape(shape)
+    return float((total * y_vals).sum())
+
+
 def eif_loop(bn, a: int, point: dict[str, int]) -> float:
     """Influence function at one configuration, composed entirely from
     nested-loop conditional expectations."""

@@ -230,14 +230,24 @@ class TestSampleStream:
         assert np.all(sample(bn, 5000, seed=0).column("C") == 0)
 
     def test_row_sum_below_one_draws_the_last_state(self):
+        # construction refuses a row that sums to 0.6, so it is put in past
+        # validation: u in [0.6, 1) is left to the clamp, which draws the
+        # last state, and the stream is still the gathering sampler's
         g = golden("trivial")
-        y = np.array([[0.3, 0.3, 0.4 - 1e-13], [0.2, 0.2, 0.2]])
+        y = np.array([[0.3, 0.3, 0.4], [0.2, 0.2, 0.6]])
         bn = DiscreteBn(g, {"A": 2, "Y": 3}, {"A": np.array([0.5, 0.5]), "Y": y})
+        short = np.array([[0.3, 0.3, 0.4], [0.2, 0.2, 0.2]])
+        object.__setattr__(bn, "cpts", {**bn.cpts, "Y": short})
         assert_same_stream(bn, 20_000, (0, 1, 2))
         ds = sample(bn, 20_000, seed=0)
-        # a float sum of 0.6 leaves u in [0.6, 1) to the clamp: state 2
         share = (ds.column("Y")[ds.column("A") == 1] == 2).mean()
         assert abs(share - 0.6) < 0.02
+
+    def test_row_sum_far_below_one_is_refused(self):
+        g = golden("trivial")
+        y = np.array([[0.3, 0.3, 0.4], [0.2, 0.2, 0.2]])
+        with pytest.raises(NormalizationError, match=r"parent state \(1,\) sums to 0.6"):
+            DiscreteBn(g, {"A": 2, "Y": 3}, {"A": np.array([0.5, 0.5]), "Y": y})
 
     def test_parents_declared_out_of_topological_order(self):
         g = Dag(("Y", "B", "A"), (("B", "Y"), ("A", "Y"), ("A", "B")), "A", "Y")

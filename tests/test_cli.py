@@ -6,7 +6,9 @@ import pytest
 
 from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
 from causal_reduce.cli import main
-from causal_reduce.graph import parse_graph
+from causal_reduce.functionals import plugin_g
+from causal_reduce.graph import Dag, format_graph, parse_graph
+from causal_reduce.reduction import reduce
 from conftest import COVARIATE_WEB_TEXT, MOTIVATING_TEXT, MOTIVATING_FLIPPED_TEXT, golden
 
 
@@ -188,6 +190,22 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert "'W2'" in err and "sums to 1.8" in err
+
+    def test_g_plugin_on_wide_data(self, capsys, tmp_path):
+        # a 26-vertex binary chain: its labels hold 2**26 cells, its largest
+        # family 8, and the full graph's plugin is the reduced graph's
+        ws = [f"W{i}" for i in range(1, 25)]
+        edges = list(zip(ws, ws[1:])) + [(ws[-1], "A"), ("A", "Y"), (ws[-1], "Y")]
+        g = Dag(ws + ["A", "Y"], edges, "A", "Y")
+        ds = sample(random_law(g, {v: 2 for v in g.vertices}, seed=3, epsilon=0.02), 5000, seed=1)
+        data_path, graph_path = tmp_path / "chain.csv", tmp_path / "chain.graph"
+        dataset_to_csv(ds, str(data_path))
+        graph_path.write_text(format_graph(g))
+        argv = ["estimate", "--data", str(data_path), "--graph", str(graph_path)]
+        code, out, err = run(capsys, argv + ["--level", "1", "--estimator", "g"])
+        assert code == 0, err
+        want = plugin_g(ds, reduce(g).output, 1).value
+        assert abs(json.loads(out)["value"] - want) <= 1e-12
 
     def test_plugin_on_csv(self, capsys, tmp_path, motivating_file):
         g = golden("motivating")

@@ -16,6 +16,7 @@ from causal_reduce.bn import (
     random_law,
     sample,
 )
+from causal_reduce import functionals
 from causal_reduce.formula import derive_gformula, evaluate
 from causal_reduce.functionals import (
     EifContext,
@@ -36,6 +37,7 @@ from causal_reduce.graph import Dag, GraphError, parse_graph
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import classify
 from conftest import LAW_SUITE, golden, positivity_hole_law
+from oracles import g_formula_dense
 
 
 def coin_pair():
@@ -443,8 +445,20 @@ class TestPlugins:
 def _outcome(call):
     try:
         return call()
-    except (PositivityError, ZeroConditioningEvent) as exc:
+    except (PositivityError, ZeroConditioningEvent, EmptyCellError) as exc:
         return exc
+
+
+def _with_zero_rows(bn, zero_rows):
+    """``bn`` with P(A=1 | row) = 0 on each row of the treatment's CPT whose
+    bit is set in ``zero_rows``."""
+    table = np.array(bn.cpts["A"])
+    rows = table.reshape(-1, bn.cards["A"])
+    for r in range(rows.shape[0]):
+        if zero_rows >> r & 1:
+            rows[r] = 0.0
+            rows[r, 0] = 1.0
+    return bn.with_cpt("A", table)
 
 
 def _cell_vertices(cell, graph, g_formula):
@@ -473,16 +487,8 @@ def test_exact_routes_agree_or_raise(name, seed, zero_rows):
     """Random laws whose treatment CPT has P(A=1 | row) = 0 on the rows set
     in ``zero_rows``."""
     g = golden(name)
-    gen = np.random.default_rng(seed)
-    cards = {v: int(gen.integers(2, 4)) for v in g.vertices}
-    bn = random_law(g, cards, seed=seed, epsilon=0.02)
-    table = np.array(bn.cpts["A"])
-    rows = table.reshape(-1, cards["A"])
-    for r in range(rows.shape[0]):
-        if zero_rows >> r & 1:
-            rows[r] = 0.0
-            rows[r, 0] = 1.0
-    bn = bn.with_cpt("A", table)
+    bn = _with_zero_rows(law_on(name, seed), zero_rows)
+    cards = bn.cards
     red = reduce(g).output
     out = {
         "g_functional_exact": _outcome(lambda: g_functional_exact(bn, 1)),
@@ -618,6 +624,26 @@ W6 -> O2
 """
 
 
+def _table_sizes(monkeypatch):
+    """The cells of every table checked against the enumeration guard from
+    now on, in the order asked."""
+    import math
+
+    import causal_reduce.bn as bn_module
+
+    asked = []
+    check = bn_module.check_enumerable
+
+    def recorded(cards):
+        cards = list(cards)
+        asked.append(math.prod(cards))
+        check(cards)
+
+    monkeypatch.setattr(bn_module, "check_enumerable", recorded)
+    monkeypatch.setattr(functionals, "check_enumerable", recorded)
+    return asked
+
+
 def _dense_bound(bn):
     ctx = EifContext.build(bn, 1)
     return float((ctx.joint * ctx.values**2).sum())
@@ -664,24 +690,111 @@ class TestVarianceTerms:
         assert cells == [("W13", (0,)), ("O1", (0,))]
 
     def test_forms_no_table_past_the_dense_limit(self, monkeypatch):
-        import math
-
-        import causal_reduce.bn as bn_module
-        import causal_reduce.functionals as functionals
-
         g = parse_graph(MEDIATED_WEB_TEXT)
         tax = classify(g)
         assert len(g.vertices) == 13 and not tax.n | tax.i
         bn = random_law(g, {v: 3 for v in g.vertices}, seed=1, epsilon=0.02)
-        asked = []
-        check = bn_module.check_enumerable
-
-        def recorded(cards):
-            cards = list(cards)
-            asked.append(math.prod(cards))
-            check(cards)
-
-        monkeypatch.setattr(bn_module, "check_enumerable", recorded)
-        monkeypatch.setattr(functionals, "check_enumerable", recorded)
+        asked = _table_sizes(monkeypatch)
         assert eif_variance(bn, 1) > 0.0
+        assert asked and max(asked) <= 2**14
+
+
+# -- the g-formula past the dense limit -----------------------------------------
+
+def _g_routes(bn, graph, ds=None):
+    routes = {
+        "g_functional_for_graph": lambda: g_functional_for_graph(bn, graph, 1),
+        "evaluate": lambda: evaluate(derive_gformula(graph), bn, 1),
+    }
+    if ds is not None:
+        routes["plugin_g"] = lambda: plugin_g(ds, graph, 1).value
+    return routes
+
+
+class TestGFormulaPastDenseLabels:
+    def test_full_chain_matches_the_network_functional(self):
+        bn, _ = chain_law()
+        want = g_functional_exact(bn, 1)
+        for name, call in _g_routes(bn, bn.graph).items():
+            assert abs(call() - want) <= 1e-12, name
+
+    @pytest.mark.parametrize("n, seed", [(26, 1), (42, 2)])
+    def test_full_graph_plugin_is_the_reduced_graph_plugin(self, n, seed):
+        bn, _ = chain_law(n, seed)
+        ds = sample(bn, 5000, seed)
+        full = plugin_g(ds, bn.graph, 1).value
+        assert abs(full - plugin_g(ds, reduce(bn.graph).output, 1).value) <= 1e-12
+
+    def test_positivity_hole_names_the_cell(self):
+        # 2**16 label cells on the full chain, 8 on the reduced graph; P(A=1 |
+        # W14=0) = 0
+        bn, _ = chain_law(16, 4)
+        bn = _zero_treatment_row(bn, (0,))
+        for graph in (bn.graph, reduce(bn.graph).output):
+            for name, call in _g_routes(bn, graph).items():
+                with pytest.raises(PositivityError) as exc:
+                    call()
+                assert exc.value.cell == ("Y", (0,)), (name, graph.vertices)
+
+    def test_needed_null_event_without_treatment_names_the_cell(self):
+        # the M-copies-A law behind 14 binary ancestors of O: 2**18 label
+        # cells; p(y | o=0, m=1) is needed at level 1, and P(o=0, m=1) = 0
+        ws = [f"W{i}" for i in range(1, 15)]
+        edges = list(zip(ws, ws[1:])) + [(ws[-1], "O"), ("O", "A"), ("A", "M"), ("M", "Y"), ("O", "Y")]
+        g = Dag(ws + ["O", "A", "M", "Y"], edges, "A", "Y")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=5, epsilon=0.02)
+        bn = bn.with_cpt("A", np.array([[1.0, 0.0], [0.3, 0.7]]))
+        bn = bn.with_cpt("M", np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert g.parent_list("Y") == ("O", "M")
+        for name, call in _g_routes(bn, g).items():
+            with pytest.raises(ZeroConditioningEvent) as exc:
+                call()
+            assert exc.value.cell == ("Y", (0, 1)), name
+
+    @given(
+        st.sampled_from(LAW_SUITE),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=2**27 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_routes_match_the_dense_product(self, name, seed, zero_rows):
+        # every law of the suite, full graph and reduced, on the law and on a
+        # sparse sample of it: the dense product's value to 1e-12, or an
+        # error of the right type at a needed null cell of the dense
+        # product's first factor that has one
+        bn = _with_zero_rows(law_on(name, seed), zero_rows)
+        ds = sample(bn, 40, seed)
+        for graph in (bn.graph, reduce(bn.graph).output):
+            labels = list(graph.vertices)
+            treat = graph.treatment
+            factors = [(v, graph.parent_list(v)) for v in labels if v != treat]
+            # evaluate reads the factors in the formula's order
+            formula = [(fa.child, fa.parents) for fa in derive_gformula(graph).factors]
+            counts = np.zeros([ds.card(v) for v in labels])
+            np.add.at(counts, tuple(ds.column(v) for v in labels), 1.0)
+            routes = _g_routes(bn, graph, ds)
+            for route, call in routes.items():
+                table = counts if route == "plugin_g" else marginal(bn, labels)
+                order = formula if route == "evaluate" else factors
+                want = g_formula_dense(table, labels, order, treat, graph.outcome, 1)
+                got = _outcome(call)
+                if isinstance(want, float):
+                    assert abs(got - want) <= 1e-12, (route, got, want)
+                    continue
+                child, cells = want[0]
+                if route == "plugin_g":
+                    assert isinstance(got, EmptyCellError), (route, got, want)
+                    cell = got.cells[0]
+                else:
+                    error = PositivityError if treat in graph.parents(child) else ZeroConditioningEvent
+                    assert type(got) is error, (route, got, want)
+                    cell = got.cell
+                assert cell[0] == child and cell[1] in cells, (route, cell, want)
+
+    def test_forms_no_table_past_the_dense_limit(self, monkeypatch):
+        g = parse_graph(MEDIATED_WEB_TEXT)
+        bn = random_law(g, {v: 3 for v in g.vertices}, seed=1, epsilon=0.02)
+        want = g_functional_exact(bn, 1)
+        asked = _table_sizes(monkeypatch)
+        assert abs(g_functional_for_graph(bn, g, 1) - want) <= 1e-12
         assert asked and max(asked) <= 2**14
