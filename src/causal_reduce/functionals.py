@@ -14,6 +14,7 @@ pure given their inputs.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,6 +27,7 @@ from .bn import (
     DiscreteBn,
     PositivityError,
     ZeroConditioningEvent,
+    _broadcast_factor,
     check_enumerable,
     contract,
     cpt_factors,
@@ -252,7 +254,7 @@ def _g_formula(
 
 # Past this many cells of the law over the vertices a computation reads, the
 # exact layer contracts each family's table from the CPTs instead of summing
-# it from that law: the influence function's support U in eif_variance_terms,
+# it from that law: the influence function's support U in _eif_families,
 # a g-formula's labels in _g_formula_exact.  Dense cost grows with those
 # cells, contraction cost with the number of families.  Per eif_variance
 # call, on a 2-core x86 box (numpy 2.4): at 972 cells (7 vertices in U) dense
@@ -364,6 +366,20 @@ def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
 
 # -- efficient influence function -------------------------------------------
 
+def _point(vertices: Sequence[str], cards: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """``v``, one state per vertex, each checked to be an integer in [0, card)."""
+    if len(v) != len(vertices):
+        raise GraphError("state tuple length does not match the vertex count")
+    for u, card, s in zip(vertices, cards, v):
+        try:
+            ok = 0 <= operator.index(s) < card
+        except TypeError:
+            ok = False
+        if not ok:
+            raise GraphError(f"state {s!r} of {u!r} is not an integer in [0, {card})")
+    return tuple(operator.index(s) for s in v)
+
+
 @dataclass(frozen=True)
 class EifContext:
     """The efficient influence function at one treatment level: its value
@@ -375,64 +391,32 @@ class EifContext:
 
     @classmethod
     def build(cls, bn: DiscreteBn, a: int, graph: Dag | None = None) -> "EifContext":
-        """Dense context: ``values`` and ``joint`` have one axis per vertex of
-        ``graph`` (the network's own graph by default), in its order."""
+        """Dense view of :func:`_eif_families`: ``values`` and ``joint`` have
+        one axis per vertex of ``graph`` (the network's own graph by
+        default), in its order."""
         graph = graph or bn.graph
         joint = marginal(bn, graph.vertices)
-        return _build_context(graph, classify(graph), bn.cards, graph.vertices, joint, a)
+        values = np.zeros(joint.shape)
+        for _, fam, _, diff in _eif_families(bn, graph, a):
+            values += _broadcast_factor(graph.vertices, bn.cards, fam, diff)
+        return cls(graph, values=values, joint=joint)
 
     def evaluate(self, v: Sequence[int]) -> float:
-        if len(v) != len(self.graph.vertices):
-            raise GraphError("state tuple length does not match the vertex count")
-        return float(self.values[tuple(int(s) for s in v)])
+        return float(self.values[_point(self.graph.vertices, self.values.shape, v)])
 
 
-def _build_context(
-    graph: Dag, tax: Taxonomy, cards: Mapping[str, int], labels: Sequence[str],
-    joint: np.ndarray, a: int,
-) -> EifContext:
-    """The influence function over the axes ``labels`` of ``joint``, which
-    must hold the function's support (:func:`_eif_support`)."""
-    treat, outcome = graph.treatment, graph.outcome
-    _check_level(cards, treat, a)
-    y_vals = _value_axis(labels, cards, outcome)
-
-    # b(O) = E[Y | A=a, O]
-    b_arr = _expect_given(joint, labels, y_vals, tax.o | {treat})
-    b_arr = b_arr.take([a], axis=labels.index(treat))
-
-    # rho(O_min) = P(A=a | O_min)
-    ind_a = _indicator(labels, cards, treat, a)
-    p_omin = _sum_to(joint, labels, tax.o_min)
-    rho_arr = _ratio(_sum_to(joint * ind_a, labels, tax.o_min), p_omin)
-    message = f"P({treat}={a} | O_min) = 0 on a positive-probability event"
-    _require(p_omin, rho_arr, PositivityError, message, _event(labels, tax.o_min, treat))
-    t_arr = _ratio(ind_a * y_vals, rho_arr)
-
-    # E[f | pa(v), v] - E[f | pa(v)], with f = b for v in W and T for v in M
-    eif = np.zeros([1] * len(labels))
-    for f_arr, group in ((b_arr, tax.w), (t_arr, tax.m)):
-        weighted = joint * f_arr if group else None
-        for v in (u for u in labels if u in group):
-            keep, i = graph.parents(v) | {v}, labels.index(v)
-            num, den = _sum_to(weighted, labels, keep), _sum_to(joint, labels, keep)
-            eif = eif + _ratio(num, den)
-            num, den = num.sum(axis=i, keepdims=True), den.sum(axis=i, keepdims=True)
-            eif = eif - _ratio(num, den)
-    eif = np.broadcast_to(eif, joint.shape).copy()
-    return EifContext(graph, values=eif, joint=joint)
-
-
-def eif_exact(
-    bn: DiscreteBn, a: int, v: Sequence[int], context: EifContext | None = None
-) -> float:
-    """Efficient influence function at one configuration.
+def eif_exact(bn: DiscreteBn, a: int, v: Sequence[int]) -> float:
+    """Efficient influence function at one configuration ``v`` of the
+    network's vertices: the sum of :func:`_eif_families`' differences read
+    there, so no table wider than a family is formed.
 
     Values are meaningful at support points of the law; off-support behavior
-    is unspecified.  Pass a prebuilt ``context`` to amortize the tables.
+    is unspecified.  :class:`EifContext` holds every configuration's value.
     """
-    ctx = context or EifContext.build(bn, a)
-    return ctx.evaluate(v)
+    vertices = bn.graph.vertices
+    point = dict(zip(vertices, _point(vertices, [bn.cards[u] for u in vertices], v)))
+    families = _eif_families(bn, bn.graph, a)
+    return float(sum(diff[tuple(point[u] for u in fam)] for _, fam, _, diff in families))
 
 
 def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:
@@ -444,23 +428,16 @@ def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:
     return support
 
 
-def _family_term(p: np.ndarray, pf: np.ndarray, i: int) -> float:
-    """E[(E[f | pa(v), v] - E[f | pa(v)])^2] from the tables P and P·f over
-    v's family, ``i`` the axis of v."""
-    pa_mean = _ratio(pf.sum(axis=i, keepdims=True), p.sum(axis=i, keepdims=True))
-    diff = _ratio(pf, p) - pa_mean
-    return float((p * diff * diff).sum())
-
-
-def eif_variance_terms(bn: DiscreteBn, graph: Dag, a: int) -> dict[str, float]:
-    """The per-vertex terms of the variance bound under ``graph``: for each
-    v in W and M, in ``graph``'s vertex order, E[term_v^2] with term_v =
-    E[f | pa(v), v] - E[f | pa(v)], f = b(O) = E[Y | A=a, O] for v in W and
-    f = T = 1{A=a}Y/P(A=a | O_min) for v in M (:func:`_build_context`).
-    Each term has mean zero given v's non-descendants, so under a law Markov
-    relative to ``graph`` the terms are uncorrelated and their sum is the
-    variance of the influence function.  An uninformative vertex's term
-    need not be zero."""
+def _eif_families(
+    bn: DiscreteBn, graph: Dag, a: int
+) -> Iterator[tuple[str, list[str], np.ndarray, np.ndarray]]:
+    """The influence function under ``graph`` family by family: for each v
+    in W and then in M, in ``graph``'s vertex order, ``(v, fam, P, diff)``
+    with ``fam`` v's family in the network's declaration order, ``P`` the
+    law over it and ``diff`` = E[f | pa(v), v] - E[f | pa(v)] on its axes,
+    f = b(O) = E[Y | A=a, O] for v in W and f = T = 1{A=a}Y/P(A=a | O_min)
+    for v in M.  The influence function is the sum of the differences
+    (Rotnitzky & Smucler 2020)."""
     tax = classify(graph)
     treat, y = graph.treatment, graph.outcome
     _check_level(bn.cards, treat, a)
@@ -483,7 +460,6 @@ def eif_variance_terms(bn: DiscreteBn, graph: Dag, a: int) -> dict[str, float]:
     t_arr = _ratio(ind_a * y_vals, rho_arr)
 
     # each family's table is [P, P·f], stacked on a leading axis
-    terms: dict[str, float] = {}
     for f_arr, over, group in (
         (b_arr, tax.o, tax.w), (t_arr, tax.o_min | {treat, y}, tax.m)
     ):
@@ -507,7 +483,19 @@ def eif_variance_terms(bn: DiscreteBn, graph: Dag, a: int) -> dict[str, float]:
             else:
                 factors = cpt_factors(bn, keep | set(f_axes)) + [f_factor]
                 p, pf = contract(factors, cards, [stack] + fam)
-            terms[v] = _family_term(p, pf, fam.index(v))
+            i = fam.index(v)
+            pa_mean = _ratio(pf.sum(axis=i, keepdims=True), p.sum(axis=i, keepdims=True))
+            yield v, fam, p, _ratio(pf, p) - pa_mean
+
+
+def eif_variance_terms(bn: DiscreteBn, graph: Dag, a: int) -> dict[str, float]:
+    """The per-vertex terms of the variance bound under ``graph``: for each
+    v in W and M, in ``graph``'s vertex order, E[term_v^2] with term_v the
+    difference :func:`_eif_families` gives for v.  Each term has mean zero
+    given v's non-descendants, so under a law Markov relative to ``graph``
+    the terms are uncorrelated and their sum is the variance of the
+    influence function.  An uninformative vertex's term need not be zero."""
+    terms = {v: float((p * diff * diff).sum()) for v, _, p, diff in _eif_families(bn, graph, a)}
     return {v: terms[v] for v in graph.vertices if v in terms}
 
 

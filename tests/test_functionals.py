@@ -233,6 +233,20 @@ class TestEif:
         assert eif_exact(bn, 1, (0, 1)) == pytest.approx(0.0)
         assert eif_variance(bn, 1) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "point", [(-1, 1), (0.7, 1), (2, 1)], ids=["negative", "fraction", "past_card"]
+    )
+    @pytest.mark.parametrize("entry", ["eif_exact", "evaluate"])
+    def test_rejects_a_state_out_of_range(self, entry, point):
+        # a negative state would wrap, a fraction truncate, a state past the
+        # cardinality index out of bounds
+        bn = coin_pair()
+        ctx = EifContext.build(bn, 1)
+        at = {"eif_exact": lambda v: eif_exact(bn, 1, v), "evaluate": ctx.evaluate}[entry]
+        message = rf"state {point[0]} of 'A' is not an integer in \[0, 2\)"
+        with pytest.raises(GraphError, match=message):
+            at(point)
+
     def test_mean_zero_across_laws(self):
         for name in ("motivating", "mediator_chain", "mediator_plain"):
             for seed in range(10):
@@ -312,8 +326,9 @@ class TestEif:
                     v: int(rng.integers(bn.cards[v])) for v in g.vertices
                 }
                 want = eif_loop(bn, 1, point)
-                got = ctx.evaluate([point[v] for v in g.vertices])
-                assert got == pytest.approx(want, abs=1e-10)
+                states = [point[v] for v in g.vertices]
+                assert ctx.evaluate(states) == pytest.approx(want, abs=1e-10)
+                assert eif_exact(bn, 1, states) == pytest.approx(want, abs=1e-10)
 
     def test_bound_below_adjustment_variance(self):
         from causal_reduce.simulate import SimConfig, build_benchmark_dgp
@@ -519,6 +534,14 @@ def test_exact_routes_agree_or_raise(name, seed, zero_rows):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     else:
         assert type(got) is type(dense) and got.cell == dense.cell
+    # the influence function at a point reads the same family tables
+    zeros = [0] * len(g.vertices)
+    at = _outcome(lambda: eif_exact(bn, 1, zeros))
+    if isinstance(got, float):
+        want = dense.evaluate(zeros)
+        assert abs(at - want) <= 1e-12 * max(1.0, abs(want))
+    else:
+        assert type(at) is type(got) and at.cell == got.cell
 
     # every error names its null event: states of named vertices, and for the
     # routes that condition the treatment on the event, an event of positive
@@ -593,6 +616,19 @@ class TestChainPastDenseJoint:
         # but each term of its variance needs only one family's table
         red = reduce(bn.graph).output
         assert abs(eif_variance(bn, 1) - eif_variance_for_graph(bn, red, 1)) <= 1e-10
+
+    def test_eif_at_a_point_is_the_reduced_graph_eif(self):
+        # the influence function does not depend on the uninformative
+        # vertices: at a point of the 60-vertex chain it is the reduced
+        # graph's at that point restricted to the reduced graph's vertices
+        bn, _ = chain_law()
+        red = reduce(bn.graph).output
+        ctx = EifContext.build(bn, 1, red)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            point = dict(zip(bn.graph.vertices, rng.integers(2, size=60).tolist()))
+            want = ctx.evaluate([point[v] for v in red.vertices])
+            assert abs(eif_exact(bn, 1, list(point.values())) - want) <= 1e-12
 
 
 # -- the variance bound as a sum of per-family terms ----------------------------
@@ -689,13 +725,17 @@ class TestVarianceTerms:
             assert got.value.cell == dense.value.cell
         assert cells == [("W13", (0,)), ("O1", (0,))]
 
-    def test_forms_no_table_past_the_dense_limit(self, monkeypatch):
+    @pytest.mark.parametrize("route", ["eif_variance", "eif_exact"])
+    def test_forms_no_table_past_the_dense_limit(self, monkeypatch, route):
         g = parse_graph(MEDIATED_WEB_TEXT)
         tax = classify(g)
         assert len(g.vertices) == 13 and not tax.n | tax.i
         bn = random_law(g, {v: 3 for v in g.vertices}, seed=1, epsilon=0.02)
         asked = _table_sizes(monkeypatch)
-        assert eif_variance(bn, 1) > 0.0
+        if route == "eif_variance":
+            assert eif_variance(bn, 1) > 0.0
+        else:
+            assert np.isfinite(eif_exact(bn, 1, [0] * 13))
         assert asked and max(asked) <= 2**14
 
 
