@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Dag, GraphError, topo_sort
+from .graph import Dag, GraphError, _reach, topo_sort
 
 __all__ = [
     "DiscreteBn",
@@ -250,15 +250,8 @@ def cpt_factors(
     axis is fixed at ``level`` wherever it is a parent: the truncated
     factorization, whose ancestors are taken with the treatment's incoming
     edges cut."""
-    treat = bn.graph.treatment
-    fixed = treat if level is not None else None
-    need = set(keep) - {fixed}
-    stack = list(need)
-    while stack:
-        for p in bn.parent_order(stack.pop()):
-            if p not in need and p != fixed:
-                need.add(p)
-                stack.append(p)
+    fixed = bn.graph.treatment if level is not None else None
+    need = _reach(bn.graph, keep, up=True, stop={fixed}) - {fixed}
     out = []
     for v in bn.graph.vertices:
         if v not in need:

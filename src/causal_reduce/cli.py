@@ -128,12 +128,14 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_gformula(args) -> int:
+    if args.json and args.format != "json":
+        raise GraphError("--json applies only to --format json")
     g = _read_graph(args.graph)
     if args.reduce:
         g = reduce(g).output
     f = derive_gformula(g)
     out = render(f, args.format, treatment=g.treatment)
-    if args.format == "json" and args.json:
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
     else:
@@ -145,6 +147,8 @@ def _cmd_estimate(args) -> int:
     level = args.level
     adjust = [s for s in (args.adjust or "").split(",") if s]
     mediators = [s for s in (args.mediators or "").split(",") if s]
+    if args.bn and (args.data or args.graph):
+        raise GraphError("--bn takes neither --data nor --graph")
     if args.laplace is not None and (args.bn or args.estimator != "g"):
         raise GraphError("--laplace applies only to --data with --estimator g")
     if args.adjust is not None and args.estimator != "adjustment":

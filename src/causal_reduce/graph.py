@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 __all__ = [
     "Dag",
@@ -271,30 +271,32 @@ def _as_set(g: Dag, s: Iterable[str]) -> set[str]:
     return out
 
 
+def _reach(
+    g: Dag, start: Iterable[str], up: bool, stop: Container[str] = ()
+) -> set[str]:
+    """Every vertex reached from ``start`` along parent edges (``up``) or
+    child edges, ``start`` included.  A vertex in ``stop`` is reached but
+    not walked on from.  Labels are not checked."""
+    step = g._pa if up else g._ch
+    out = set(start)
+    frontier = [v for v in out if v not in stop]
+    while frontier:
+        for u in step[frontier.pop()]:
+            if u not in out:
+                out.add(u)
+                if u not in stop:
+                    frontier.append(u)
+    return out
+
+
 def ancestors(g: Dag, s: Iterable[str]) -> frozenset[str]:
     """Reflexive ancestor set of ``s``: includes ``s`` itself."""
-    frontier = _as_set(g, s)
-    out = set(frontier)
-    while frontier:
-        v = frontier.pop()
-        for p in g.parents(v):
-            if p not in out:
-                out.add(p)
-                frontier.add(p)
-    return frozenset(out)
+    return frozenset(_reach(g, _as_set(g, s), up=True))
 
 
 def descendants(g: Dag, s: Iterable[str]) -> frozenset[str]:
     """Reflexive descendant set of ``s``."""
-    frontier = _as_set(g, s)
-    out = set(frontier)
-    while frontier:
-        v = frontier.pop()
-        for c in g.children(v):
-            if c not in out:
-                out.add(c)
-                frontier.add(c)
-    return frozenset(out)
+    return frozenset(_reach(g, _as_set(g, s), up=False))
 
 
 def parents(g: Dag, s: Iterable[str]) -> frozenset[str]:
@@ -345,18 +347,18 @@ def d_separated(
                 continue
             if v in ys:
                 return False
-            for p in g.parents(v):
+            for p in g._pa[v]:
                 stack.append((p, "child"))
-            for c in g.children(v):
+            for c in g._ch[v]:
                 stack.append((c, "parent"))
         else:
             if v not in zs:
                 if v in ys:
                     return False
-                for c in g.children(v):
+                for c in g._ch[v]:
                     stack.append((c, "parent"))
             if v in an_z:
-                for p in g.parents(v):
+                for p in g._pa[v]:
                     stack.append((p, "child"))
     return True
 
@@ -369,17 +371,4 @@ def has_causal_path(
     g._check(frm)
     g._check(to)
     avoid = _as_set(g, avoiding)
-    if frm == to:
-        return True
-    stack = [frm]
-    seen = {frm}
-    while stack:
-        v = stack.pop()
-        for c in g.children(v):
-            if c == to:
-                return True
-            if c in avoid or c in seen:
-                continue
-            seen.add(c)
-            stack.append(c)
-    return False
+    return to in _reach(g, {frm}, up=False, stop=avoid - {frm})

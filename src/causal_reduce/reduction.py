@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .criteria import CriterionVerdict, criterion_verdicts
-from .graph import CycleError, Dag, GraphError, _as_set, topo_sort
+from .graph import CycleError, Dag, GraphError, _as_set, _reach, topo_sort
 from .taxonomy import Taxonomy, classify
 
 __all__ = [
@@ -184,28 +184,16 @@ def latent_projection(g: Dag, keep: Iterable[str]) -> LatentProjectionView:
         raise GraphError("keep must contain the treatment and the outcome")
     latent_set = set(g.vertices) - keep_set
 
-    def reach_through_latent(start_children: Iterable[str]) -> set[str]:
-        hits: set[str] = set()
-        stack = list(start_children)
-        seen: set[str] = set()
-        while stack:
-            x = stack.pop()
-            if x in keep_set:
-                hits.add(x)
-                continue
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(g.children(x))
-        return hits
+    def reach_through_latent(v: str) -> set[str]:
+        return _reach(g, g.children(v), up=False, stop=keep_set) & keep_set
 
     directed: set[tuple[str, str]] = set()
     for u in keep_set:
-        for t in reach_through_latent(g.children(u)):
+        for t in reach_through_latent(u):
             directed.add((u, t))
     bidirected: set[frozenset[str]] = set()
     for s in latent_set:
-        hits = sorted(reach_through_latent(g.children(s)))
+        hits = sorted(reach_through_latent(s))
         for i, a in enumerate(hits):
             for b in hits[i + 1 :]:
                 bidirected.add(frozenset({a, b}))

@@ -4,7 +4,8 @@ Partitions the vertices of a :class:`~causal_reduce.graph.Dag` into the
 treatment, non-ancestors of the outcome (N), indirect ancestors reaching the
 outcome only through the treatment (I), baseline covariates (W) and mediators
 (M, which includes the outcome), and derives the optimal adjustment set O
-together with its minimal d-separating subset O_min.
+together with its minimal d-separating subset O_min.  I is what is left of
+An(Y) \\ De(A) after one walk back from Y that does not pass through A.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Iterable
 from .graph import (
     Dag,
     GraphError,
+    _reach,
     ancestors,
     d_separated,
     descendants,
-    has_causal_path,
     parents,
 )
 
@@ -57,12 +58,8 @@ def classify(g: Dag) -> Taxonomy:
     de_a = descendants(g, {a})
     n = frozenset(v for v in g.vertices if v not in an_y)
     m = frozenset(v for v in de_a if v != a and v in an_y)
-    i = frozenset(
-        v
-        for v in an_y
-        if v != a and v not in de_a and not has_causal_path(g, v, y, avoiding={a})
-    )
-    w = frozenset(v for v in an_y if v != a and v not in de_a and v not in i)
+    w = frozenset(_reach(g, {y}, up=True, stop={a}) - de_a)
+    i = an_y - de_a - w
     o = parents(g, m) - m - {a}
     o_min = minimal_dseparator_within(g, {a}, frozenset(), o)
     return Taxonomy(n=n, i=i, w=w, m=m, o=o, o_min=o_min)

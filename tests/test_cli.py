@@ -161,6 +161,15 @@ class TestGFormula:
         payload = json.loads(out)
         assert payload["outcome"] == "Y"
 
+    @pytest.mark.parametrize("fmt", ["text", "latex"])
+    def test_json_path_outside_json_format_rejected(self, capsys, motivating_file, tmp_path, fmt):
+        path = tmp_path / "out.json"
+        argv = ["gformula", "--graph", motivating_file, "--format", fmt, "--json", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "--json applies only to --format json" in err
+        assert not path.exists()
+
 
 class TestEstimate:
     def test_exact_g_on_bn_file(self, capsys, tmp_path):
@@ -294,6 +303,22 @@ class TestEstimate:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert f"{flag} applies only to --estimator {reader}" in err
+
+    @pytest.mark.parametrize("extra", [["--data", "--graph"], ["--graph"], ["--data"]])
+    def test_bn_with_data_or_graph_rejected(self, capsys, tmp_path, extra):
+        g = parse_graph(CONFOUNDED_TEXT)
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=1, epsilon=0.05)
+        files = {flag: tmp_path / name for flag, name in
+                 [("--bn", "net.json"), ("--data", "d.csv"), ("--graph", "g.graph")]}
+        save_bn(bn, str(files["--bn"]))
+        dataset_to_csv(sample(bn, 100, seed=1), str(files["--data"]))
+        files["--graph"].write_text(CONFOUNDED_TEXT)
+        argv = ["estimate", "--bn", str(files["--bn"])]
+        for flag in extra:
+            argv += [flag, str(files[flag])]
+        code, out, err = run(capsys, argv + ["--level", "1", "--estimator", "g"])
+        assert code == 2 and out == ""
+        assert "--bn takes neither --data nor --graph" in err
 
     def test_estimate_without_source_is_input_error(self, capsys):
         code, _, err = run(capsys, ["estimate", "--level", "1"])

@@ -15,7 +15,7 @@ from causal_reduce.reduction import (
 )
 from causal_reduce.taxonomy import Taxonomy, classify
 from conftest import GOLDEN_TEXTS, golden
-from oracles import random_dag, reduce_rechecking
+from oracles import all_simple_paths, random_dag, reduce_rechecking
 
 
 class TestProjectOutNI:
@@ -349,3 +349,19 @@ class TestLatentProjection:
                             elif c not in keep and c not in interior:
                                 stack.append((c, interior + (c,)))
                     assert ((u, v) in view.directed_edges) == found
+            # brute force: a marginalized vertex reaches both ends along
+            # directed paths whose interiors are all marginalized
+            reached = [
+                {
+                    t
+                    for t in keep
+                    for path in all_simple_paths(g, s, t)
+                    if all(g.has_edge(p, q) for p, q in zip(path, path[1:]))
+                    and all(x not in keep for x in path[1:-1])
+                }
+                for s in set(labels) - keep
+            ]
+            for u in keep:
+                for v in keep:
+                    common = any(u in hits and v in hits for hits in reached)
+                    assert (frozenset({u, v}) in view.bidirected_edges) == (u != v and common)

@@ -9,7 +9,7 @@ from causal_reduce.taxonomy import (
     minimal_dseparator_within,
 )
 from conftest import golden
-from oracles import minimal_separator_oracle, random_dag
+from oracles import causal_path_oracle, minimal_separator_oracle, random_dag
 
 
 class TestClassifyGolden:
@@ -64,6 +64,11 @@ class TestClassifyProperties:
                 assert tax.w == frozenset()
             for wj in tax.w:
                 assert descendants(g, {wj}) & tax.o
+            # I: the ancestors of Y outside De(A) whose every causal path to Y
+            # passes through A
+            a, y = g.treatment, g.outcome
+            outside = ancestors(g, {y}) - descendants(g, {a})
+            assert tax.i == {v for v in outside if not causal_path_oracle(g, v, y, {a})}
             assert d_separated(g, {g.treatment}, tax.o - tax.o_min, tax.o_min)
             checked += 1
 
