@@ -200,7 +200,7 @@ def _cmd_simulate(args) -> int:
     )
     table = run_simulation(cfg, on_empty=args.on_empty)
     payload = sim_table_to_dict(cfg, table)
-    width = max(len(name) for name, *_ in [(r.estimator,) for r in table.rows])
+    width = max(len(r.estimator) for r in table.rows)
     for row in table.rows:
         se = f"{row.monte_carlo_se:.4g}" if row.monte_carlo_se is not None else "undefined"
         print(

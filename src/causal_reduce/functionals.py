@@ -113,26 +113,11 @@ def _event(labels: Sequence[str], given: Iterable[str], treat: str) -> tuple[str
     return ",".join(given) or treat, [labels.index(v) for v in given]
 
 
-def _expect_given(
-    joint: np.ndarray, labels: Sequence[str], f_arr: np.ndarray, given: Iterable[str]
-) -> np.ndarray:
-    """E[f | given] as a broadcastable array (keepdims); zero off-support."""
-    given = set(given)
-    return _ratio(_sum_to(joint * f_arr, labels, given), _sum_to(joint, labels, given))
-
-
 def _value_axis(labels: Sequence[str], cards: Mapping[str, int], v: str) -> np.ndarray:
     """State values of ``v`` (0..card-1) broadcast along its axis."""
     shape = [1] * len(labels)
     shape[labels.index(v)] = cards[v]
     return np.arange(cards[v], dtype=float).reshape(shape)
-
-
-def _indicator(
-    labels: Sequence[str], cards: Mapping[str, int], v: str, a: int
-) -> np.ndarray:
-    """1{v = a} broadcast along the axis of ``v``."""
-    return (_value_axis(labels, cards, v) == a).astype(float)
 
 
 def _labels(bn: DiscreteBn, vertices: Iterable[str]) -> list[str]:
@@ -164,6 +149,21 @@ def _adjustment_set(g: Dag, L: Iterable[str]) -> set[str]:
             f"treatment {g.treatment!r}, itself and the outcome included"
         )
     return Ls
+
+
+def _adjustment_graph(g: Dag, L: Iterable[str]) -> Dag:
+    """G_L, the graph whose g-formula is the adjustment formula over ``L``:
+    its vertices are ``L`` and the treatment and outcome, in ``g``'s order;
+    ``L`` is complete in that order, each of its vertices is a parent of the
+    treatment and of the outcome, and the treatment is a parent of the
+    outcome.  G_L is complete, so every law is Markov relative to it.
+    ``L`` holds no descendant of the treatment."""
+    Ls = _adjustment_set(g, L)
+    treat, y = g.treatment, g.outcome
+    order = [v for v in g.vertices if v in Ls]
+    edges = [(u, v) for i, u in enumerate(order) for v in order[i + 1 :] + [treat, y]]
+    vertices = [v for v in g.vertices if v in Ls or v in (treat, y)]
+    return Dag(vertices, edges + [(treat, y)], treat, y)
 
 
 def _mediator_set(g: Dag, mediators: Iterable[str]) -> set[str]:
@@ -222,6 +222,8 @@ def _g_formula(
     ``labels`` order.
     """
     _check_level(cards, treat, a)
+    for child, parents in factors:  # a family past the guard raises before any table
+        check_enumerable(cards[v] for v in (child, *parents))
     conds, undefined = [], []
     for child, parents in factors:
         fam = [v for v in labels if v == child or v in parents]
@@ -274,6 +276,20 @@ def _dense(cards: Mapping[str, int], vertices: Iterable[str]) -> bool:
     return math.prod(cards[v] for v in vertices) <= _DENSE_CELLS
 
 
+def _family_tables(
+    cards: Mapping[str, int], labels: Sequence[str],
+    table: Callable[[Sequence[str]], np.ndarray], add: float = 0.0,
+) -> Callable[[list[str]], np.ndarray]:
+    """The ``law`` of :func:`_g_formula`: ``table(labels)``, a law or counts
+    over the formula's labels, summed down to each family while it is dense,
+    and ``table(family)`` on its own past that; ``add`` is added to each
+    family's table after summing."""
+    if _dense(cards, labels):
+        whole = table(labels)
+        return lambda fam: _sum_to(whole, labels, fam) + add
+    return lambda fam: table(fam) + add
+
+
 def _g_formula_exact(
     bn: DiscreteBn, factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int
 ) -> float:
@@ -281,10 +297,7 @@ def _g_formula_exact(
     summed from the law over the formula's labels while that is dense, and
     otherwise contracted from the CPTs on its own."""
     labels = _labels(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
-    if _dense(bn.cards, labels):
-        law = partial(_sum_to, marginal(bn, labels), labels)
-    else:
-        law = partial(marginal, bn)
+    law = _family_tables(bn.cards, labels, partial(marginal, bn))
     return _g_formula(law, labels, bn.cards, factors, treat, y, a)
 
 
@@ -304,32 +317,13 @@ def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     return _g_formula_exact(bn, factors, treat, graph.outcome, a)
 
 
-def _adjustment(
-    labels: Sequence[str], joint: np.ndarray, Ls: set[str], treat: str, y: str, a: int
-) -> float:
-    """Sum over l of E[Y | A=a, L=l] P(l), with ``joint`` the law over
-    ``labels`` = L ∪ {A, Y}.  A needed P(A=a, L=l) = 0 raises
-    :class:`ZeroConditioningEvent`, whose ``cell`` is L with the state l
-    (:func:`_event`)."""
-    cards = dict(zip(labels, joint.shape))
-    _check_level(cards, treat, a)
-    Ls = [v for v in labels if v in Ls]
-    y_vals = _value_axis(labels, cards, y)
-    p_l = _sum_to(joint, labels, Ls)
-    at_a = np.take(joint, [a], axis=labels.index(treat))
-    den = _sum_to(at_a, labels, Ls)
-    message = f"P({treat}={a}, L=l) = 0 for some l with P(l) > 0"
-    _require(p_l, den, ZeroConditioningEvent, message, _event(labels, Ls, treat))
-    return float((_ratio(_sum_to(at_a * y_vals, labels, Ls), den) * p_l).sum())
-
-
 def adjustment_exact(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
-    """Adjustment formula: sum over l of E[Y | A=a, L=l] P(l).  ``L`` holds
-    no descendant of A."""
-    g = bn.graph
-    Ls = _adjustment_set(g, L)
-    labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
-    return _adjustment(labels, joint, Ls, g.treatment, g.outcome, a)
+    """Adjustment formula: sum over l of E[Y | A=a, L=l] P(l), the
+    g-formula of G_L (:func:`_adjustment_graph`) by
+    :func:`g_functional_for_graph`.  ``L`` holds no descendant of A.  A
+    needed P(A=a, L=l) = 0 raises :class:`PositivityError` with cell
+    ``('Y', l)``."""
+    return g_functional_for_graph(bn, _adjustment_graph(bn.graph, L), a)
 
 
 def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
@@ -450,9 +444,10 @@ def _eif_families(
 
     # b(O) = E[Y | A=a, O] and rho(O_min) = P(A=a | O_min)
     y_vals = _value_axis(labels, bn.cards, y)
-    b_arr = _expect_given(law, labels, y_vals, tax.o | {treat})
+    o_a = tax.o | {treat}
+    b_arr = _ratio(_sum_to(law * y_vals, labels, o_a), _sum_to(law, labels, o_a))
     b_arr = b_arr.take([a], axis=labels.index(treat))
-    ind_a = _indicator(labels, bn.cards, treat, a)
+    ind_a = (_value_axis(labels, bn.cards, treat) == a).astype(float)
     p_omin = _sum_to(law, labels, tax.o_min)
     rho_arr = _ratio(_sum_to(law * ind_a, labels, tax.o_min), p_omin)
     message = f"P({treat}={a} | O_min) = 0 on a positive-probability event"
@@ -518,35 +513,23 @@ def eif_variance_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
 
 def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
     """Asymptotic variance of the plugin adjustment estimator: the variance
-    of its nonparametric influence function.  ``L`` holds no descendant of A."""
-    g = bn.graph
-    Ls = _adjustment_set(g, L)
-    _check_level(bn.cards, g.treatment, a)
-    labels, joint = _law_over(bn, Ls | {g.treatment, g.outcome})
-    y_vals = _value_axis(labels, bn.cards, g.outcome)
-    ind_a = _indicator(labels, bn.cards, g.treatment, a)
-    b_l = _expect_given(joint, labels, y_vals, Ls | {g.treatment})
-    b_l = b_l.take([a], axis=labels.index(g.treatment))
-    p_l = _sum_to(joint, labels, Ls)
-    e_l = _ratio(_sum_to(joint * ind_a, labels, Ls), p_l)
-    message = f"P({g.treatment}={a} | L) = 0 on a positive-probability event"
-    _require(p_l, e_l, ZeroConditioningEvent, message, _event(labels, Ls, g.treatment))
-    psi = float((b_l * p_l).sum())
-    phi = _ratio(ind_a, e_l) * (y_vals - b_l) + b_l - psi
-    return float((joint * phi**2).sum())
+    of its nonparametric influence function, which is the efficient
+    influence function under G_L (:func:`_adjustment_graph`), so this is
+    :func:`eif_variance_for_graph` on G_L.  G_L is complete, so the bound
+    under the network's own graph, :func:`eif_variance`, is at most this.
+    ``L`` holds no descendant of A."""
+    return eif_variance_for_graph(bn, _adjustment_graph(bn.graph, L), a)
 
 
 # -- plugin estimators -------------------------------------------------------
 
-def _counts(
-    ds: Dataset, axes: Sequence[str], cards: Mapping[str, int], add: float = 0.0
-) -> np.ndarray:
-    """The counts of the states of the ``axes`` columns of ``ds``, plus
-    ``add``, one axis per column in that order; refused past the guard."""
+def _counts(ds: Dataset, axes: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+    """The counts of the states of the ``axes`` columns of ``ds``, one axis
+    per column in that order; refused past the guard."""
     shape = [cards[v] for v in axes]
     check_enumerable(shape)
     flat = np.ravel_multi_index([ds.column(v) for v in axes], shape)
-    return (np.bincount(flat, minlength=math.prod(shape)) + add).reshape(shape)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
 def _data_cards(ds: Dataset, labels: Sequence[str], treat: str, a: int) -> dict[str, int]:
@@ -576,10 +559,12 @@ def plugin_g(
     """Maximum-likelihood plugin of the g-formula under ``g``.
 
     The g-formula kernel with each conditional read from the counts of its
-    family's columns, and the conditionals contracted together, so no table
-    is wider than the contraction needs: a full graph of many covariates (a
-    26-vertex binary chain: 2**26 cells, families of at most 8) gives its
-    plugin, which equals the reduced graph's.
+    family's columns, summed from one count table over ``g``'s columns while
+    that has at most 2**14 cells and counted on its own past that, and the
+    conditionals contracted together, so no table is wider than the
+    contraction needs: a full graph of many covariates (a 26-vertex binary
+    chain: 2**26 cells, families of at most 8) gives its plugin, which
+    equals the reduced graph's.
 
     A conditioning cell that carries positive weight but was never observed
     raises :class:`EmptyCellError`, whose ``cells`` hold the child with the
@@ -591,7 +576,7 @@ def plugin_g(
         raise ValueError(f"laplace must be finite and >= 0, got {laplace}")
     labels = list(g.vertices)
     cards = _data_cards(dataset, labels, g.treatment, a)
-    law = partial(_counts, dataset, cards=cards, add=laplace or 0.0)
+    law = _family_tables(cards, labels, partial(_counts, dataset, cards=cards), laplace or 0.0)
     factors = [(v, g.parent_list(v)) for v in labels if v != g.treatment]
     with _empty_cells():
         value = _g_formula(law, labels, cards, factors, g.treatment, g.outcome, a)
@@ -602,13 +587,9 @@ def plugin_adjustment(
     dataset: Dataset, g: Dag, L: Iterable[str], a: int
 ) -> EstimateReport:
     """Empirical adjustment estimator: sum over l of mean(Y | A=a, L=l) P_n(l),
-    the adjustment formula on the empirical law.  ``L`` holds no descendant
-    of A under ``g``.  An L state seen without A=a raises
-    :class:`EmptyCellError`."""
-    Ls = _adjustment_set(g, L)
-    labels = [v for v in g.vertices if v in Ls | {g.treatment, g.outcome}]
-    cards = _data_cards(dataset, labels, g.treatment, a)
-    joint = _counts(dataset, labels, cards) / dataset.n
-    with _empty_cells():
-        value = _adjustment(labels, joint, Ls, g.treatment, g.outcome, a)
+    the adjustment formula on the empirical law, which is :func:`plugin_g`
+    on G_L (:func:`_adjustment_graph`).  ``L`` holds no descendant of A
+    under ``g``.  An L state seen without A=a raises :class:`EmptyCellError`
+    with cell ``('Y', l)``."""
+    value = plugin_g(dataset, _adjustment_graph(g, L), a).value
     return EstimateReport("adjustment", value, dataset.n)

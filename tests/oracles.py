@@ -313,6 +313,41 @@ def g_formula_dense(table: np.ndarray, labels, factors, treat: str, y: str, a: i
     return float((total * y_vals).sum())
 
 
+def adjustment_dense(joint: np.ndarray, labels, L, treat: str, y: str, a: int):
+    """The adjustment formula over ``L`` and the variance of its
+    nonparametric influence function, as dense computations on ``joint``, a
+    law with one axis per label in that order: psi = sum over l of
+    E[Y | A=a, L=l] P(l), and E[phi^2] with
+    phi = 1{A=a} / P(A=a | L) (Y - E[Y | A=a, L]) + E[Y | A=a, L] - psi.
+
+    Returns ``(psi, variance)``, or, where P(A=a, L=l) = 0 for some l with
+    P(l) > 0, the sorted list of those states l, in ``labels`` order."""
+    Ls = [v for v in labels if v in set(L)]
+
+    def sum_to(arr, keep):
+        drop = tuple(i for i, v in enumerate(labels) if v not in keep)
+        return arr.sum(axis=drop, keepdims=True)
+
+    def axis_values(v):
+        shape = [1] * len(labels)
+        shape[labels.index(v)] = -1
+        return np.arange(joint.shape[labels.index(v)], dtype=float).reshape(shape)
+
+    y_vals = axis_values(y)
+    ind_a = (axis_values(treat) == a).astype(float)
+    p_l = sum_to(joint, Ls)
+    p_al = sum_to(joint * ind_a, Ls)
+    null = (p_l > 0.0) & (p_al <= 0.0)
+    if null.any():
+        at = [labels.index(v) for v in Ls]
+        return sorted({tuple(int(c[i]) for i in at) for c in np.argwhere(null)})
+    b = sum_to(joint * ind_a * y_vals, Ls) / np.where(p_al > 0.0, p_al, 1.0)
+    e = p_al / np.where(p_l > 0.0, p_l, 1.0)
+    psi = float((b * p_l).sum())
+    phi = ind_a / np.where(e > 0.0, e, 1.0) * (y_vals - b) + b - psi
+    return psi, float((joint * phi**2).sum())
+
+
 def eif_loop(bn, a: int, point: dict[str, int]) -> float:
     """Influence function at one configuration, composed entirely from
     nested-loop conditional expectations."""

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
@@ -243,6 +244,30 @@ class TestEstimate:
         assert 0.0 <= payload["value"] <= 1.0
         assert payload["n"] == 4000
 
+    @pytest.mark.parametrize(
+        "estimator, extra, code",
+        [
+            ("g", [], 3),
+            ("adjustment", ["--adjust", "O"], 3),
+            ("eif-variance", [], 3),
+            ("front-door", ["--mediators", "M"], 2),
+        ],
+    )
+    def test_positivity_exit_codes(self, capsys, tmp_path, estimator, extra, code):
+        # P(A=1 | O=0) = 0 makes PositivityError (exit 3) on the g-formula,
+        # adjustment on O and the variance bound; front-door needs only
+        # P(A=1) > 0, so it is made null on both rows: ZeroConditioningEvent
+        # (exit 2)
+        g = golden("front_door")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05)
+        rows = [[1.0, 0.0], [1.0, 0.0] if estimator == "front-door" else bn.cpts["A"][1]]
+        path = tmp_path / "net.json"
+        save_bn(bn.with_cpt("A", np.array(rows)), str(path))
+        argv = ["estimate", "--bn", str(path), "--estimator", estimator, "--level", "1"]
+        got, out, err = run(capsys, argv + extra)
+        assert got == code and out == ""
+        assert "error:" in err
+
     @pytest.mark.parametrize("level", ["-1", "2"])
     def test_front_door_level_out_of_range(self, capsys, tmp_path, level):
         g = golden("front_door")
@@ -359,7 +384,7 @@ class TestDataInput:
         assert "no observations" in err
 
     @pytest.mark.parametrize(
-        "estimator, cell", [("g", "('Y', (0,))"), ("adjustment", "('O', (0,))")]
+        "estimator, cell", [("g", "('Y', (0,))"), ("adjustment", "('Y', (0,))")]
     )
     def test_unseen_level_is_empty_cell(self, capsys, tmp_path, estimator, cell):
         code, out, err = estimate_on_csv(capsys, tmp_path, UNSEEN_LEVEL_CSV, estimator)

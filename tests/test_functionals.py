@@ -33,11 +33,11 @@ from causal_reduce.functionals import (
     plugin_adjustment,
     plugin_g,
 )
-from causal_reduce.graph import Dag, GraphError, parse_graph
+from causal_reduce.graph import Dag, GraphError, descendants, parse_graph
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import classify
 from conftest import LAW_SUITE, golden, positivity_hole_law
-from oracles import g_formula_dense
+from oracles import adjustment_dense, g_formula_dense, powerset
 
 
 def coin_pair():
@@ -141,6 +141,24 @@ class TestGFunctional:
             ) <= 1e-10
 
 
+def adjustment_cases():
+    """The ``LAW_SUITE`` graphs x seeds 0-3 x binary and ternary laws x every
+    set of non-descendants of A, with P(A=1 | first parent state) = 0 on odd
+    seeds: ``(bn, L)`` pairs."""
+    for name in LAW_SUITE:
+        g = golden(name)
+        nd = [v for v in g.vertices if v not in descendants(g, {"A"})]
+        for seed in range(4):
+            for card in (2, 3):
+                bn = random_law(g, {v: card for v in g.vertices}, seed=seed, epsilon=0.02)
+                if seed % 2:
+                    table = np.array(bn.cpts["A"])
+                    table.reshape(-1, card)[0] = np.eye(card)[0]
+                    bn = bn.with_cpt("A", table)
+                for L in powerset(nd):
+                    yield bn, set(L)
+
+
 class TestAdjustment:
     def test_empty_set_is_conditional_mean(self):
         assert adjustment_exact(biased_chain(0.7), set(), 1) == pytest.approx(0.7)
@@ -153,8 +171,38 @@ class TestAdjustment:
             "Y": np.array([[[0.5, 0.5]] * 2] * 2),
         }
         bn = DiscreteBn(g, {"L": 2, "A": 2, "Y": 2}, cpts)
-        with pytest.raises(ZeroConditioningEvent):
+        with pytest.raises(PositivityError):
             adjustment_exact(bn, {"L"}, 1)
+
+    def test_routes_match_the_dense_reference(self):
+        # each route is the G_L route of the shared kernels; each equals the
+        # dense adjustment formula and its influence-function variance, or
+        # raises exactly where their conditional given L is undefined, at the
+        # first such l in C order
+        def check(call, want, error, name):
+            if isinstance(want, list):
+                with pytest.raises(error) as err:
+                    call()
+                cells = err.value.cells if error is EmptyCellError else [err.value.cell]
+                assert cells == [(name, want[0])]
+            else:
+                got = call()
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+        for bn, L in adjustment_cases():
+            labels = [v for v in bn.graph.vertices if v in set(L) | {"A", "Y"}]
+            want = adjustment_dense(marginal(bn, labels), labels, L, "A", "Y", 1)
+            psi, var = (want, want) if isinstance(want, list) else want
+            event = ",".join(v for v in labels if v in L) or "A"
+            check(lambda: adjustment_exact(bn, L, 1), psi, PositivityError, "Y")
+            check(lambda: adjustment_if_variance(bn, L, 1), var, PositivityError, event)
+
+            ds = sample(bn, 300, seed=len(L))
+            counts = np.zeros([bn.cards[v] for v in labels])
+            np.add.at(counts, tuple(ds.column(v) for v in labels), 1.0)
+            want = adjustment_dense(counts / ds.n, labels, L, "A", "Y", 1)
+            psi = want if isinstance(want, list) else want[0]
+            check(lambda: plugin_adjustment(ds, bn.graph, L, 1).value, psi, EmptyCellError, "Y")
 
     @pytest.mark.parametrize("L", [{"A"}, {"Y"}, {"M"}, {"O", "M"}])
     def test_rejects_descendants_of_the_treatment(self, L):
@@ -347,11 +395,11 @@ class TestEif:
         g = parse_graph("!treatment A\n!outcome Y\nL -> A\nA -> Y\nL -> Y")
         bn = random_law(g, {v: 2 for v in g.vertices}, seed=2, epsilon=0.05)
         bn = bn.with_cpt("A", np.array([[1.0, 0.0], [0.5, 0.5]]))
-        with pytest.raises(ZeroConditioningEvent) as err:
+        with pytest.raises(PositivityError) as err:
             adjustment_if_variance(bn, {"L"}, 1)
         assert err.value.cell == ("L", (0,))
         bn = bn.with_cpt("A", np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(ZeroConditioningEvent) as err:
+        with pytest.raises(PositivityError) as err:
             adjustment_if_variance(bn, set(), 1)
         assert err.value.cell == ("A", ())
 
@@ -427,7 +475,7 @@ class TestPlugins:
         assert err.value.cells == [("Y", (1,))]
         with pytest.raises(EmptyCellError) as err:
             plugin_adjustment(ds, g, {"O"}, 1)
-        assert err.value.cells == [("O", (1,))]
+        assert err.value.cells == [("Y", (1,))]
 
     def test_laplace_opt_in(self):
         g = golden("trivial")
@@ -436,6 +484,17 @@ class TestPlugins:
         # the unobserved row A = 1 reads (0 + 1) / (0 + 2)
         report = plugin_g(ds, g, 1, laplace=1.0)
         assert report.value == 0.5
+
+    def test_laplace_is_added_to_each_family_after_summing(self):
+        # the labels have 8 cells, so each family is summed from one count
+        # table over O, A, Y; laplace is added to the family's own cells:
+        # P(O) = (3+1, 1+1) / 6, E[Y | A=1, O] = (1+1) / 3 and (0+1) / 3.
+        # Added to the table over all labels first, P(O) would read
+        # (3+4, 1+4) / 12 and the value 19/36.
+        g = parse_graph("!treatment A\n!outcome Y\nO -> A\nO -> Y\nA -> Y")
+        rows = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 1], [1, 1, 0]])
+        ds = Dataset(("O", "A", "Y"), rows, {"O": 2, "A": 2, "Y": 2})
+        assert plugin_g(ds, g, 1, laplace=1.0).value == pytest.approx(5 / 9, abs=1e-15)
 
     def test_plugin_consistency(self):
         bn = rational_front_door_law()
@@ -453,6 +512,38 @@ class TestPlugins:
         assert plugin_g(ds, sub, 1).value == pytest.approx(
             plugin_g(ds, red, 1).value
         )
+
+
+class TestReadmePositivityExamples:
+    """The two worked examples of the README's Positivity section."""
+
+    def test_motivating_without_treatment_at_i1_0(self):
+        g = golden("motivating")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=3, epsilon=0.02)
+        bn = bn.with_cpt("A", np.array([[1.0, 0.0], bn.cpts["A"][1]]))
+        red = reduce(g).output
+        for value in (
+            g_functional_for_graph(bn, red, 1),
+            evaluate(derive_gformula(red), bn, 1),
+            adjustment_exact(bn, {"O1"}, 1),
+        ):
+            assert round(value, 5) == 0.62825
+        with pytest.raises(PositivityError) as err:
+            g_functional_exact(bn, 1)
+        assert err.value.cell == ("A", (0,))
+
+    def test_front_door_without_treatment_at_o_0(self):
+        g = golden("front_door")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=3, epsilon=0.02)
+        bn = bn.with_cpt("A", np.array([[1.0, 0.0], bn.cpts["A"][1]]))
+        with pytest.raises(PositivityError) as err:
+            adjustment_exact(bn, {"O"}, 1)
+        assert err.value.cell == ("Y", (0,))
+        for value in (
+            front_door_exact(bn, {"M"}, 1),
+            g_functional_for_graph(bn, reduce(g).output, 1),
+        ):
+            assert round(value, 5) == 0.62476
 
 
 # -- every exact route against every other ------------------------------------
@@ -551,7 +642,9 @@ def test_exact_routes_agree_or_raise(name, seed, zero_rows):
         if isinstance(exc, float):
             continue
         graph = red if route in ("g_functional_for_graph", "evaluate") else g
-        vs = _cell_vertices(exc.cell, graph, route not in ("adjustment_exact", "eif_variance"))
+        if route == "adjustment_exact":
+            graph = functionals._adjustment_graph(g, classify(g).o)
+        vs = _cell_vertices(exc.cell, graph, route != "eif_variance")
         states = exc.cell[1]
         assert all(0 <= s < cards[v] for v, s in zip(vs, states)), (route, exc.cell)
         if route in ("g_functional_exact", "adjustment_exact", "eif_variance"):
