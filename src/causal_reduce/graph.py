@@ -1,8 +1,10 @@
 """Immutable directed acyclic graphs with a designated treatment and outcome.
 
 Vertices are string labels; identity is by label.  All operations are pure
-functions over the immutable :class:`Dag`, so values can be shared freely
-across threads.
+functions over the immutable :class:`Dag`.  On its first reachability query a
+``Dag`` builds parent, child and ancestor bitmasks over its vertex positions
+and keeps them; the build is deterministic and idempotent, so values can still
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Container, Iterable
 
 __all__ = [
@@ -137,6 +140,13 @@ class Dag:
     def sort_topologically(self, labels: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(labels, key=self.topo_index))
 
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], ...]:
+        """Parent, child and reflexive ancestor masks, indexed by position in
+        ``vertices``; bit i stands for ``vertices[i]``.  Kept per instance:
+        equal graphs may order their vertices differently."""
+        return _build_masks(self)
+
     def _check(self, v: str) -> None:
         if v not in self._index:
             raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -182,6 +192,23 @@ def _kahn(
     if len(out) != len(vertices):
         raise CycleError("graph contains a cycle")
     return tuple(out)
+
+
+def _build_masks(g: Dag) -> tuple[tuple[int, ...], ...]:
+    index = g._index
+    pa = [0] * len(g.vertices)
+    ch = [0] * len(g.vertices)
+    for u, v in g.edges:
+        pa[index[v]] |= 1 << index[u]
+        ch[index[u]] |= 1 << index[v]
+    an = [0] * len(g.vertices)
+    for v in g._topo:
+        i = index[v]
+        m = 1 << i
+        for p in g._pa[v]:
+            m |= an[index[p]]
+        an[i] = m
+    return tuple(pa), tuple(ch), tuple(an)
 
 
 # -- file format -----------------------------------------------------------
@@ -289,9 +316,34 @@ def _reach(
     return out
 
 
+def _bits(g: Dag, s: Iterable[str]) -> int:
+    """Mask of the labels in ``s``; raises on an unknown label."""
+    index = g._index
+    m = 0
+    try:
+        for v in s:
+            m |= 1 << index[v]
+    except KeyError:
+        raise UnknownVertexError(f"unknown vertex {v!r}") from None
+    return m
+
+
+def _union(masks: tuple[int, ...], m: int) -> int:
+    """OR of ``masks[i]`` over the set bits i of ``m``."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= masks[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
 def ancestors(g: Dag, s: Iterable[str]) -> frozenset[str]:
     """Reflexive ancestor set of ``s``: includes ``s`` itself."""
-    return frozenset(_reach(g, _as_set(g, s), up=True))
+    m = _union(g._masks[2], _bits(g, s))
+    # bin() lists the bits most significant first; reversed, it lines up
+    # with ``vertices`` without a shift per vertex
+    return frozenset(v for v, b in zip(g.vertices, bin(m)[:1:-1]) if b == "1")
 
 
 def descendants(g: Dag, s: Iterable[str]) -> frozenset[str]:
@@ -323,43 +375,35 @@ def d_separated(
     Overlaps are permitted: the query is first rewritten to
     ``x \\ z`` vs ``y \\ z`` given ``z``; an empty side is separated by
     convention.  Overlapping x/y (after the rewrite) are d-connected.
+
+    Bayes-ball reachability (Shachter 1998) over the graph's bitmasks, in
+    the form that turns a ball entering An(z) from a parent back up: the
+    ball moves one whole frontier at a time, held as two masks, the vertices
+    entered from a child and those entered from a parent.
     """
-    zs = _as_set(g, z)
-    xs = _as_set(g, x) - zs
-    ys = _as_set(g, y) - zs
-    if not xs or not ys:
+    zm = _bits(g, z)
+    xm = _bits(g, x) & ~zm
+    ym = _bits(g, y) & ~zm
+    if not xm or not ym:
         return True
-    if xs & ys:
+    if xm & ym:
         return False
-    an_z = ancestors(g, zs) if zs else frozenset()
-    # Reachability over (vertex, how-entered) states; "child" means the trail
-    # entered along an edge leaving the vertex, "parent" along an edge into it.
-    stack: list[tuple[str, str]] = [(v, "child") for v in xs]
-    visited: set[tuple[str, str]] = set()
-    while stack:
-        state = stack.pop()
-        if state in visited:
-            continue
-        visited.add(state)
-        v, entered = state
-        if entered == "child":
-            if v in zs:
-                continue
-            if v in ys:
-                return False
-            for p in g._pa[v]:
-                stack.append((p, "child"))
-            for c in g._ch[v]:
-                stack.append((c, "parent"))
-        else:
-            if v not in zs:
-                if v in ys:
-                    return False
-                for c in g._ch[v]:
-                    stack.append((c, "parent"))
-            if v in an_z:
-                for p in g._pa[v]:
-                    stack.append((p, "child"))
+    pa, ch, an = g._masks
+    an_z = _union(an, zm)
+    # A vertex entered from a child passes the ball on unless it is in z; one
+    # entered from a parent passes it to its children unless it is in z, and
+    # bounces it back to its parents if it is in An(z).
+    from_child, from_parent = xm, 0
+    seen_child = seen_parent = 0
+    while from_child or from_parent:
+        if (from_child | from_parent) & ym:
+            return False
+        seen_child |= from_child
+        seen_parent |= from_parent
+        up = (from_child & ~zm) | (from_parent & an_z)
+        down = (from_child | from_parent) & ~zm
+        from_child = _union(pa, up) & ~seen_child
+        from_parent = _union(ch, down) & ~seen_parent
     return True
 
 

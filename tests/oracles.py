@@ -1,7 +1,8 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here enumerates paths or subsets directly and shares no code with
-the traversal-based implementations under test, except ``reduce_rechecking``:
+Everything here enumerates paths or subsets directly, or (``d_separated_moral``)
+tests separation in a moral graph, and shares no code with the traversal-based
+implementations under test, except ``reduce_rechecking``:
 the reduction loop that re-derives the taxonomy and the verdicts on the
 current graph at every step, built from the library's own parts.
 """
@@ -80,6 +81,36 @@ def d_separated_oracle(g: Dag, x, y, z) -> bool:
             for path in all_simple_paths(g, s, t):
                 if path_active(g, path, zs):
                     return False
+    return True
+
+
+def d_separated_moral(g: Dag, x, y, z) -> bool:
+    """Lauritzen's criterion, with the same overlap conventions: x and y are
+    d-separated given z iff z separates them in the moral graph of
+    An(x | y | z).  Polynomial, so it reaches graphs path enumeration cannot."""
+    zs = set(z)
+    xs = set(x) - zs
+    ys = set(y) - zs
+    if not xs or not ys:
+        return True
+    if xs & ys:
+        return False
+    keep = _ancestors(g, xs | ys | zs)
+    adjacency: dict[str, set[str]] = {v: set() for v in keep}
+    for v in keep:
+        family = [v, *g.parents(v)]
+        for u, w in combinations(family, 2):
+            adjacency[u].add(w)
+            adjacency[w].add(u)
+    seen = set(xs)
+    frontier = list(xs)
+    while frontier:
+        for u in adjacency[frontier.pop()]:
+            if u in ys:
+                return False
+            if u not in seen and u not in zs:
+                seen.add(u)
+                frontier.append(u)
     return True
 
 

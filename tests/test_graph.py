@@ -1,5 +1,8 @@
 """Graph core: parsing, ordering, reachability and d-separation."""
 
+import sys
+import threading
+from collections import Counter
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -7,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causal_reduce.graph as graph_module
 from causal_reduce.graph import (
     CycleError,
     Dag,
     GraphError,
     GraphParseError,
+    UnknownVertexError,
     ancestors,
     children,
     d_separated,
@@ -22,8 +27,15 @@ from causal_reduce.graph import (
     parse_graph,
     topo_sort,
 )
+from causal_reduce.reduction import reduce
 from conftest import golden
-from oracles import causal_path_oracle, d_separated_oracle, random_dag
+from oracles import (
+    _ancestors,
+    causal_path_oracle,
+    d_separated_moral,
+    d_separated_oracle,
+    random_dag,
+)
 
 
 def powerset(items):
@@ -191,6 +203,137 @@ class TestDSeparation:
                     assert d_separated(
                         g, {labels[i]}, {labels[j]}, set(z)
                     ) == d_separated_oracle(g, {labels[i]}, {labels[j]}, set(z))
+
+
+def _random_query(rng, vs, most_z):
+    def pick(most):
+        k = int(rng.integers(0, most + 1))
+        return {vs[i] for i in rng.choice(len(vs), size=k, replace=False)}
+
+    return pick(min(3, len(vs))), pick(min(3, len(vs))), pick(most_z)
+
+
+class TestDSeparationPastOneWord:
+    """Graphs of more than 64 vertices, whose masks span several words,
+    checked against the moralization oracle."""
+
+    def test_moral_oracle_matches_path_oracle(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            g = random_dag(rng, n, float(rng.uniform(0.2, 0.6)))
+            vs = list(g.vertices)
+            for _ in range(30):
+                x, y, z = _random_query(rng, vs, n)
+                assert d_separated_moral(g, x, y, z) == d_separated_oracle(g, x, y, z)
+
+    def test_large_random_dags(self, rng):
+        answers = Counter()
+        for n in (65, 130, 200):
+            g = random_dag(rng, n, 2.5 / n)
+            vs = list(g.vertices)
+            for _ in range(300):
+                x, y, z = _random_query(rng, vs, n // 4)
+                got = d_separated(g, x, y, z)
+                assert got == d_separated_moral(g, x, y, z)
+                answers[got] += 1
+                assert ancestors(g, z) == _ancestors(g, z)
+        assert answers[True] > 100 and answers[False] > 100
+
+    def test_equal_graphs_keep_their_own_masks(self, rng):
+        # equal under ==, vertices declared in opposite orders
+        g1 = random_dag(rng, 90, 2.5 / 90)
+        edges = list(g1.edges)
+        rng.shuffle(edges)
+        g2 = Dag(reversed(g1.vertices), edges, g1.treatment, g1.outcome)
+        assert g1 == g2 and g1.vertices != g2.vertices
+        vs = list(g1.vertices)
+        for _ in range(200):
+            x, y, z = _random_query(rng, vs, 20)
+            want = d_separated_moral(g1, x, y, z)
+            assert d_separated(g1, x, y, z) == want
+            assert d_separated(g2, x, y, z) == want
+            assert ancestors(g2, x | z) == ancestors(g1, x | z)
+
+    def test_first_queries_from_many_threads_agree(self, rng):
+        g = random_dag(rng, 150, 2.5 / 150)
+        vs = list(g.vertices)
+        queries = [_random_query(rng, vs, 30) for _ in range(100)]
+        want = [d_separated_moral(g, *q) for q in queries]
+        fresh = Dag(g.vertices, g.edges, g.treatment, g.outcome)
+        results = [None] * 8
+
+        def work(k):
+            results[k] = [d_separated(fresh, *q) for q in queries]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == want for r in results)
+
+
+class TestDSeparationUnknownLabels:
+    @pytest.mark.parametrize(
+        "x, y, z",
+        [
+            ({"Q"}, {"Y"}, set()),
+            ({"A"}, {"Q"}, set()),
+            ({"A"}, {"Y"}, {"Q"}),
+            # an empty side after the rewrite
+            ({"Q"}, set(), set()),
+            (set(), {"Q"}, set()),
+            (set(), {"Y"}, {"Q"}),
+            ({"W1"}, {"Y", "Q"}, {"W1"}),
+            ({"A"}, {"Y"}, {"A", "Q"}),
+            # overlapping sides
+            ({"A", "Q"}, {"A"}, set()),
+            ({"A"}, {"A"}, {"Q"}),
+        ],
+    )
+    def test_raises_for_any_side(self, x, y, z):
+        with pytest.raises(UnknownVertexError):
+            d_separated(golden("motivating"), x, y, z)
+
+
+class TestMaskCost:
+    def test_reduce_builds_masks_once_and_d_separated_walks_no_sets(self, monkeypatch, rng):
+        # each vertex takes up to three parents among the 15 before it, so
+        # most of the graph is ancestral to the outcome
+        vs = [f"V{i}" for i in range(300)]
+        edges = {("V150", "V299")}
+        for i in range(1, 300):
+            for j in rng.choice(range(max(0, i - 15), i), size=min(i, 3), replace=False):
+                if rng.random() < 0.7:
+                    edges.add((vs[j], vs[i]))
+        g = Dag(vs, sorted(edges), "V150", "V299")
+        built = []
+        build = graph_module._build_masks
+
+        def counted(dag):
+            built.append(dag)
+            return build(dag)
+
+        monkeypatch.setattr(graph_module, "_build_masks", counted)
+        callers = []
+        for name in ("ancestors", "_reach"):
+
+            def recorded(*args, _fn=getattr(graph_module, name), **kw):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(graph_module, name, recorded)
+        report = reduce(g)
+        assert report.verdicts and report.removed
+        assert any(dag is g for dag in built)
+        assert set(Counter(map(id, built)).values()) == {1}
+        assert callers and "d_separated" not in callers
 
 
 class TestCausalPath:
