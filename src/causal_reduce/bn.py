@@ -159,7 +159,7 @@ def validate(bn: DiscreteBn) -> ValidationCertificate:
         table = bn.cpts[v]
         flat = table.reshape(-1, bn.cards[v])
         rows += flat.shape[0]
-        if np.any(flat < 0.0) or np.any(flat > 1.0):
+        if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
             raise NormalizationError(f"CPT for {v!r} has entries outside [0, 1]")
         sums = flat.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)[0]
@@ -407,29 +407,62 @@ def bn_to_json(bn: DiscreteBn) -> dict:
     }
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _field(spec: dict, key: str, kind: type, name: str):
+    """``spec[key]``, the field ``name`` of a network payload, checked to be
+    of JSON type ``kind`` (a bool is no integer); a missing field or one of
+    another type raises :class:`GraphError` naming it."""
+    value = spec.get(key)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise GraphError(f"network JSON: {name} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _strings(items: object, name: str, length: int | None = None) -> list[str]:
+    """``items``, the field ``name``, checked to be an array of strings,
+    ``length`` of them if given."""
+    if not (isinstance(items, list) and all(isinstance(s, str) for s in items)
+            and length in (None, len(items))):
+        count = f"{length} " if length else ""
+        raise GraphError(f"network JSON: {name} must be an array of {count}strings")
+    return items
+
+
 def bn_from_json(payload: dict) -> DiscreteBn:
-    """Inverse of :func:`bn_to_json`; like every network, it is validated on
-    construction, so a CPT row that does not sum to 1 raises
+    """Inverse of :func:`bn_to_json`.  A payload of the wrong shape raises
+    :class:`GraphError` naming the field; like every network, the result is
+    validated on construction, so a CPT row that does not sum to 1 raises
     :class:`NormalizationError`."""
-    gspec = payload["graph"]
+    if not isinstance(payload, dict):
+        raise GraphError("network JSON must be an object")
+    gspec = _field(payload, "graph", dict, "graph")
+    edges = _field(gspec, "edges", list, "graph.edges")
     g = Dag(
-        gspec["vertices"],
-        [tuple(e) for e in gspec["edges"]],
-        gspec["treatment"],
-        gspec["outcome"],
+        _strings(gspec.get("vertices"), "graph.vertices"),
+        [tuple(_strings(e, f"graph.edges[{i}]", 2)) for i, e in enumerate(edges)],
+        _field(gspec, "treatment", str, "graph.treatment"),
+        _field(gspec, "outcome", str, "graph.outcome"),
     )
-    cards = {v: int(c) for v, c in payload["cards"].items()}
+    card_specs = _field(payload, "cards", dict, "cards")
+    cards = {v: _field(card_specs, v, int, f"cards.{v}") for v in g.vertices}
+    cpt_specs = _field(payload, "cpts", dict, "cpts")
     cpts = {}
     for v in g.vertices:
-        spec = payload["cpts"][v]
-        declared = tuple(spec.get("parents", ()))
+        spec = _field(cpt_specs, v, dict, f"cpts.{v}")
+        declared = tuple(_strings(spec.get("parents", []), f"cpts.{v}.parents"))
         if declared != g.parent_list(v):
             raise GraphError(
                 f"CPT parents for {v!r} must be listed in topological order "
                 f"{g.parent_list(v)}, got {declared}"
             )
-        shape = tuple(cards[p] for p in declared) + (cards[v],)
-        cpts[v] = np.asarray(spec["table"], dtype=float).reshape(shape)
+        table = _field(spec, "table", list, f"cpts.{v}.table")
+        try:
+            table = np.asarray(table, dtype=float)
+        except (TypeError, ValueError):
+            raise GraphError(f"network JSON: cpts.{v}.table must be an array of numbers") from None
+        cpts[v] = table.reshape(tuple(cards[p] for p in declared) + (cards[v],))
     return DiscreteBn(g, cards, cpts)
 
 

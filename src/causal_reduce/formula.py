@@ -74,7 +74,9 @@ def _sym(label: str, level: str, treatment_labels: set[str], latex: bool) -> str
     if latex:
         m = re.match(r"^([a-z_]+)(\d+)$", low)
         if m:
-            return f"{m.group(1)}_{{{m.group(2)}}}" if len(m.group(2)) > 1 else f"{m.group(1)}_{m.group(2)}"
+            base = m.group(1).replace("_", "\\_")
+            return f"{base}_{{{m.group(2)}}}" if len(m.group(2)) > 1 else f"{base}_{m.group(2)}"
+        return low.replace("_", "\\_")
     return low
 
 
@@ -137,7 +139,7 @@ def render(f: GFormula, fmt: str = "text", treatment: str | None = None) -> str:
     if latex:
         head = (
             f"\\sum_{{{', '.join(sum_syms)}}} {y_sym}"
-            if len(sum_syms) > 1
+            if len(sum_syms) > 1 or len(sum_syms[0]) > 1
             else f"\\sum_{sum_syms[0]} {y_sym}"
         )
         return head + " \\, " + " \\, ".join(pieces)

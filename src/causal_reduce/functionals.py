@@ -17,7 +17,7 @@ import math
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -360,57 +360,57 @@ def front_door_exact(bn: DiscreteBn, mediators: Iterable[str], a: int) -> float:
 
 # -- efficient influence function -------------------------------------------
 
-def _point(vertices: Sequence[str], cards: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """``v``, one state per vertex, each checked to be an integer in [0, card)."""
+def _point(vertices: Sequence[str], cards: Mapping[str, int], v: Sequence[int]) -> dict[str, int]:
+    """``v`` by vertex, one state each, checked to be an integer in [0, card)."""
     if len(v) != len(vertices):
         raise GraphError("state tuple length does not match the vertex count")
-    for u, card, s in zip(vertices, cards, v):
+    for u, s in zip(vertices, v):
         try:
-            ok = 0 <= operator.index(s) < card
+            ok = 0 <= operator.index(s) < cards[u]
         except TypeError:
             ok = False
         if not ok:
-            raise GraphError(f"state {s!r} of {u!r} is not an integer in [0, {card})")
-    return tuple(operator.index(s) for s in v)
+            raise GraphError(f"state {s!r} of {u!r} is not an integer in [0, {cards[u]})")
+    return {u: operator.index(s) for u, s in zip(vertices, v)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EifContext:
-    """The efficient influence function at one treatment level: its value
-    at every configuration of ``graph``'s vertices, with the law there."""
+    """The efficient influence function at one treatment level under
+    ``graph``, held as :func:`_eif_families`' ``(fam, diff)`` pairs.
+    ``values`` and ``joint``, the function and the law with one axis per
+    vertex of ``graph`` in its order, are formed on first read."""
 
+    bn: DiscreteBn = field(repr=False)
     graph: Dag
-    values: np.ndarray = field(repr=False)
-    joint: np.ndarray = field(repr=False)
+    families: tuple[tuple[list[str], np.ndarray], ...] = field(repr=False)
 
     @classmethod
     def build(cls, bn: DiscreteBn, a: int, graph: Dag | None = None) -> "EifContext":
-        """Dense view of :func:`_eif_families`: ``values`` and ``joint`` have
-        one axis per vertex of ``graph`` (the network's own graph by
-        default), in its order."""
+        """One pass of :func:`_eif_families`, so each of its errors raises here."""
         graph = graph or bn.graph
-        joint = marginal(bn, graph.vertices)
-        values = np.zeros(joint.shape)
-        for _, fam, _, diff in _eif_families(bn, graph, a):
-            values += _broadcast_factor(graph.vertices, bn.cards, fam, diff)
-        return cls(graph, values=values, joint=joint)
+        return cls(bn, graph, tuple((f, d) for _, f, _, d in _eif_families(bn, graph, a)))
 
     def evaluate(self, v: Sequence[int]) -> float:
-        return float(self.values[_point(self.graph.vertices, self.values.shape, v)])
+        point = _point(self.graph.vertices, self.bn.cards, v)
+        return float(sum(diff[tuple(point[u] for u in fam)] for fam, diff in self.families))
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        return marginal(self.bn, self.graph.vertices)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.zeros(self.joint.shape)
+        for fam, diff in self.families:
+            values += _broadcast_factor(self.graph.vertices, self.bn.cards, fam, diff)
+        return values
 
 
 def eif_exact(bn: DiscreteBn, a: int, v: Sequence[int]) -> float:
     """Efficient influence function at one configuration ``v`` of the
-    network's vertices: the sum of :func:`_eif_families`' differences read
-    there, so no table wider than a family is formed.
-
-    Values are meaningful at support points of the law; off-support behavior
-    is unspecified.  :class:`EifContext` holds every configuration's value.
-    """
-    vertices = bn.graph.vertices
-    point = dict(zip(vertices, _point(vertices, [bn.cards[u] for u in vertices], v)))
-    families = _eif_families(bn, bn.graph, a)
-    return float(sum(diff[tuple(point[u] for u in fam)] for _, fam, _, diff in families))
+    network's vertices; meaningful at support points of the law."""
+    return EifContext.build(bn, a).evaluate(v)
 
 
 def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:

@@ -4,7 +4,9 @@ Everything here enumerates paths or subsets directly, or (``d_separated_moral``)
 tests separation in a moral graph, and shares no code with the traversal-based
 implementations under test, except ``reduce_rechecking``:
 the reduction loop that re-derives the taxonomy and the verdicts on the
-current graph at every step, built from the library's own parts.
+current graph at every step, built from the library's own parts, and
+``eif_dense``: the dense tables of the influence function, formed from the
+library's own family differences in one pass.
 """
 
 from __future__ import annotations
@@ -421,6 +423,22 @@ def eif_loop(bn, a: int, point: dict[str, int]) -> float:
             bn, t_of, {v: point[v] for v in pa}
         )
     return total
+
+
+def eif_dense(bn, a: int, graph: Dag):
+    """The influence function under ``graph`` and the law, each with one
+    axis per vertex of ``graph`` in its order, formed densely before any
+    point is read: the network's marginal over ``graph.vertices``, and each
+    difference of ``functionals._eif_families`` broadcast over it and added
+    onto zeros, in family order.  Returns ``(values, joint)``."""
+    from causal_reduce.bn import _broadcast_factor, marginal
+    from causal_reduce.functionals import _eif_families
+
+    joint = marginal(bn, graph.vertices)
+    values = np.zeros(joint.shape)
+    for _, fam, _, diff in _eif_families(bn, graph, a):
+        values += _broadcast_factor(graph.vertices, bn.cards, fam, diff)
+    return values, joint
 
 
 def sample_gathered(bn, n: int, seed: int):

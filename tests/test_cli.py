@@ -201,6 +201,29 @@ class TestEstimate:
         assert out == ""
         assert "'W2'" in err and "sums to 1.8" in err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda p: [], "network JSON must be an object"),
+            (lambda p: p["cpts"].update(W2=[[0.5, 0.5]]), "cpts.W2"),
+            (lambda p: p["cards"].update(W2=None), "cards.W2"),
+            (lambda p: p["graph"].update(treatment=["A"]), "graph.treatment"),
+            (lambda p: p["graph"]["edges"].append("W2"), "graph.edges["),
+            (lambda p: p["cpts"]["W2"].update(table=[[None, 1.0]]), "'W2' has entries outside"),
+        ],
+    )
+    def test_malformed_bn_json_is_input_error(self, capsys, tmp_path, edit, field):
+        g = golden("motivating_slim")
+        payload = bn_to_json(random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05))
+        edited = edit(payload)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload if edited is None else edited))
+        code, out, err = run(
+            capsys, ["estimate", "--bn", str(path), "--level", "1", "--estimator", "g"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
     def test_g_plugin_on_wide_data(self, capsys, tmp_path):
         # a 26-vertex binary chain: its labels hold 2**26 cells, its largest
         # family 8, and the full graph's plugin is the reduced graph's

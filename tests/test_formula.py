@@ -60,6 +60,25 @@ class TestRender:
             "\\, p(o_1 \\mid w_2, w_3) \\, p(w_2) \\, p(w_3)"
         )
 
+    def test_underscore_labels_latex_golden(self):
+        # an underscore is escaped; a trailing number is still a subscript,
+        # and a summation subscript wider than one character is braced
+        g = parse_graph(
+            "!treatment A\n!outcome Y\nW_1 -> A\nW_1 -> Y\nmy_var -> Y\n"
+            "x_12 -> my_var\nA -> Y\n"
+        )
+        assert render(derive_gformula(g), "latex") == (
+            "\\sum_{y, w\\__1, my\\_var, x\\__{12}} y \\, p(y \\mid a, w\\__1, my\\_var) "
+            "\\, p(w\\__1) \\, p(my\\_var \\mid x\\__{12}) \\, p(x\\__{12})"
+        )
+        assert render(derive_gformula(g), "text") == (
+            "sum_{y,w_1,my_var,x_12} y * p(y|a,w_1,my_var) * p(w_1) * p(my_var|x_12) * p(x_12)"
+        )
+        single = parse_graph("!treatment A\n!outcome out_1\nA -> out_1\n")
+        assert render(derive_gformula(single), "latex") == (
+            "\\sum_{out\\__1} out\\__1 \\, p(out\\__1 \\mid a)"
+        )
+
     def test_mediator_chain_reduced_text_golden(self):
         f = derive_gformula(golden("mediator_chain_reduced"))
         assert (

@@ -37,7 +37,7 @@ from causal_reduce.graph import Dag, GraphError, descendants, parse_graph
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import classify
 from conftest import LAW_SUITE, golden, positivity_hole_law
-from oracles import adjustment_dense, g_formula_dense, powerset
+from oracles import adjustment_dense, eif_dense, g_formula_dense, powerset
 
 
 def coin_pair():
@@ -652,6 +652,30 @@ def test_exact_routes_agree_or_raise(name, seed, zero_rows):
             assert law.sum() > 0.0 and law[1] == 0.0, (route, exc.cell)
 
 
+@given(
+    st.sampled_from(LAW_SUITE),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=2**27 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_eif_context_is_the_dense_reference(name, seed, zero_rows):
+    # full graph and reduced: the dense views and the points read from the
+    # family differences equal the dense reference bit for bit, or both
+    # raise the same error at the same cell
+    bn = _with_zero_rows(law_on(name, seed), zero_rows)
+    rng = np.random.default_rng(seed)
+    for graph in (bn.graph, reduce(bn.graph).output):
+        want = _outcome(lambda: eif_dense(bn, 1, graph))
+        ctx = _outcome(lambda: EifContext.build(bn, 1, graph))
+        if not isinstance(ctx, EifContext):
+            assert type(ctx) is type(want) and ctx.cell == want.cell
+            continue
+        values, joint = want
+        assert np.array_equal(ctx.values, values) and np.array_equal(ctx.joint, joint)
+        for point in rng.integers(0, values.shape, size=(16, values.ndim)).tolist():
+            assert ctx.evaluate(point) == values[tuple(point)]
+
+
 LEVEL_ROUTES = {
     "g_functional_exact": lambda bn, red, a: g_functional_exact(bn, a),
     "g_functional_for_graph": lambda bn, red, a: g_functional_for_graph(bn, red, a),
@@ -716,12 +740,26 @@ class TestChainPastDenseJoint:
         # graph's at that point restricted to the reduced graph's vertices
         bn, _ = chain_law()
         red = reduce(bn.graph).output
-        ctx = EifContext.build(bn, 1, red)
+        full, ctx = EifContext.build(bn, 1), EifContext.build(bn, 1, red)
         rng = np.random.default_rng(7)
-        for _ in range(20):
+        for i in range(20):
             point = dict(zip(bn.graph.vertices, rng.integers(2, size=60).tolist()))
             want = ctx.evaluate([point[v] for v in red.vertices])
-            assert abs(eif_exact(bn, 1, list(point.values())) - want) <= 1e-12
+            got = full.evaluate(list(point.values()))
+            assert abs(got - want) <= 1e-12
+            if i == 0:
+                at = eif_exact(bn, 1, list(point.values()))
+                assert at == got and abs(at - want) <= 1e-12
+
+    def test_dense_views_past_the_limit_raise_on_first_read(self):
+        # 2**60 cells: the context and its points answer, its dense views
+        # are refused
+        bn, _ = chain_law()
+        ctx = EifContext.build(bn, 1)
+        assert np.isfinite(ctx.evaluate([0] * 60))
+        for view in ("values", "joint"):
+            with pytest.raises(EnumerationLimitError):
+                getattr(ctx, view)
 
 
 # -- the variance bound as a sum of per-family terms ----------------------------
@@ -818,7 +856,7 @@ class TestVarianceTerms:
             assert got.value.cell == dense.value.cell
         assert cells == [("W13", (0,)), ("O1", (0,))]
 
-    @pytest.mark.parametrize("route", ["eif_variance", "eif_exact"])
+    @pytest.mark.parametrize("route", ["eif_variance", "eif_exact", "EifContext.evaluate"])
     def test_forms_no_table_past_the_dense_limit(self, monkeypatch, route):
         g = parse_graph(MEDIATED_WEB_TEXT)
         tax = classify(g)
@@ -827,8 +865,10 @@ class TestVarianceTerms:
         asked = _table_sizes(monkeypatch)
         if route == "eif_variance":
             assert eif_variance(bn, 1) > 0.0
-        else:
+        elif route == "eif_exact":
             assert np.isfinite(eif_exact(bn, 1, [0] * 13))
+        else:
+            assert np.isfinite(EifContext.build(bn, 1).evaluate([0] * 13))
         assert asked and max(asked) <= 2**14
 
 
