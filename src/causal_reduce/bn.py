@@ -38,6 +38,7 @@ __all__ = [
     "random_law",
     "sample",
     "derive_seed",
+    "graph_to_json",
     "bn_to_json",
     "bn_from_json",
     "dataset_to_csv",
@@ -386,16 +387,22 @@ def sample(bn: DiscreteBn, n: int, seed: int) -> Dataset:
 
 # -- serialization -----------------------------------------------------------
 
+def graph_to_json(g: Dag) -> dict:
+    """JSON-ready dict of a graph: the ``"graph"`` object of
+    :func:`bn_to_json`, and each graph of ``causal-reduce reduce --report``."""
+    return {
+        "vertices": list(g.vertices),
+        "edges": [[u, v] for u, v in g.edges],
+        "treatment": g.treatment,
+        "outcome": g.outcome,
+    }
+
+
 def bn_to_json(bn: DiscreteBn) -> dict:
     """JSON-ready dict; CPT rows are dense row-major over lexicographic
     parent states (parent axes in topological order)."""
     return {
-        "graph": {
-            "vertices": list(bn.graph.vertices),
-            "edges": [[u, v] for u, v in bn.graph.edges],
-            "treatment": bn.graph.treatment,
-            "outcome": bn.graph.outcome,
-        },
+        "graph": graph_to_json(bn.graph),
         "cards": dict(bn.cards),
         "cpts": {
             v: {

@@ -84,15 +84,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _graph_payload(g: Dag) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [[u, v] for u, v in g.edges],
-        "treatment": g.treatment,
-        "outcome": g.outcome,
-    }
-
-
 def _cmd_reduce(args) -> int:
     g = _read_graph(args.graph)
     report = reduce(g)
@@ -100,17 +91,15 @@ def _cmd_reduce(args) -> int:
     if args.report:
         tax = classify(g)
         payload = {
-            "input": _graph_payload(report.input),
-            "output": _graph_payload(report.output),
+            "input": bnmod.graph_to_json(report.input),
+            "output": bnmod.graph_to_json(report.output),
             "removed": [
                 {"vertex": v, "reason": reason, "pi": list(pi)}
                 for v, reason, pi in report.removed
             ],
             "verdicts": [_verdict_payload(d, tax) for d in report.verdicts.values()],
         }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _emit(payload, args.report)
     return 0
 
 

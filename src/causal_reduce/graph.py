@@ -1,10 +1,10 @@
 """Immutable directed acyclic graphs with a designated treatment and outcome.
 
 Vertices are string labels; identity is by label.  All operations are pure
-functions over the immutable :class:`Dag`.  On its first reachability query a
-``Dag`` builds parent, child and ancestor bitmasks over its vertex positions
-and keeps them; the build is deterministic and idempotent, so values can still
-be shared freely across threads.
+functions over the immutable :class:`Dag`, which is complete once constructed:
+one pass over its edges checks each of them and builds the parent and child
+sets and bitmasks, and its topological sort fills the ancestor bitmasks that
+the reachability queries read.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Container, Iterable
 
 __all__ = [
@@ -63,6 +62,11 @@ class Dag:
     ``vertices`` keeps declaration order, which is used for deterministic
     tie-breaking everywhere.  Two graphs compare equal iff their vertex sets,
     edge sets, treatment and outcome agree (order-insensitive).
+
+    Construction validates the graph and builds parent, child and reflexive
+    ancestor bitmasks, ``_masks``, indexed by position in ``vertices``: bit i
+    stands for ``vertices[i]``.  They are kept per instance, since equal
+    graphs may order their vertices differently.
     """
 
     vertices: tuple[str, ...]
@@ -86,30 +90,37 @@ class Dag:
         self._validate()
 
     def _validate(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
+        vs = self.vertices
+        index = {v: i for i, v in enumerate(vs)}
+        if len(index) != len(vs):
             raise GraphError("duplicate vertex labels")
-        vset = set(self.vertices)
-        if len(set(self.edges)) != len(self.edges):
-            raise GraphError("duplicate edges")
-        pa: dict[str, list[str]] = {v: [] for v in self.vertices}
-        ch: dict[str, list[str]] = {v: [] for v in self.vertices}
+        pa: list[list[str]] = [[] for _ in vs]
+        ch: list[list[str]] = [[] for _ in vs]
+        pa_mask = [0] * len(vs)
+        ch_mask = [0] * len(vs)
         for u, v in self.edges:
-            if u not in vset or v not in vset:
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
                 raise GraphError(f"edge ({u}, {v}) references undeclared vertex")
-            if u == v:
+            if i == j:
                 raise GraphError(f"self-loop at {u}")
-            pa[v].append(u)
-            ch[u].append(v)
+            bit = 1 << i
+            if pa_mask[j] & bit:
+                raise GraphError("duplicate edges")
+            pa_mask[j] |= bit
+            ch_mask[i] |= 1 << j
+            pa[j].append(u)
+            ch[i].append(v)
         for t, role in ((self.treatment, "treatment"), (self.outcome, "outcome")):
-            if t not in vset:
+            if t not in index:
                 raise GraphError(f"{role} {t!r} is not a declared vertex")
         if self.treatment == self.outcome:
             raise GraphError("treatment and outcome must differ")
-        object.__setattr__(self, "_pa", {v: frozenset(ps) for v, ps in pa.items()})
-        object.__setattr__(self, "_ch", {v: frozenset(cs) for v, cs in ch.items()})
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
-        order = _kahn(self.vertices, pa, ch)
+        order, an_mask = _kahn(vs, index, pa, ch)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_pa", {v: frozenset(ps) for v, ps in zip(vs, pa)})
+        object.__setattr__(self, "_ch", {v: frozenset(cs) for v, cs in zip(vs, ch)})
+        object.__setattr__(self, "_masks", (tuple(pa_mask), tuple(ch_mask), an_mask))
         object.__setattr__(self, "_topo", order)
         object.__setattr__(self, "_topo_index", {v: i for i, v in enumerate(order)})
 
@@ -127,11 +138,7 @@ class Dag:
         return self.sort_topologically(self.parents(v))
 
     def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self._edge_set
-
-    @property
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return self._edge_set
+        return u in self._pa.get(v, ())
 
     def topo_index(self, v: str) -> int:
         self._check(v)
@@ -140,13 +147,6 @@ class Dag:
     def sort_topologically(self, labels: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(labels, key=self.topo_index))
 
-    @cached_property
-    def _masks(self) -> tuple[tuple[int, ...], ...]:
-        """Parent, child and reflexive ancestor masks, indexed by position in
-        ``vertices``; bit i stands for ``vertices[i]``.  Kept per instance:
-        equal graphs may order their vertices differently."""
-        return _build_masks(self)
-
     def _check(self, v: str) -> None:
         if v not in self._index:
             raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -154,17 +154,15 @@ class Dag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
+        # the parent sets keyed by vertex hold the vertex and edge sets
         return (
-            set(self.vertices) == set(other.vertices)
-            and self._edge_set == other._edge_set
+            self._pa == other._pa
             and self.treatment == other.treatment
             and self.outcome == other.outcome
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (frozenset(self.vertices), self._edge_set, self.treatment, self.outcome)
-        )
+        return hash((frozenset(self._pa.items()), self.treatment, self.outcome))
 
     def __repr__(self) -> str:
         es = ", ".join(f"{u}->{v}" for u, v in self.edges)
@@ -173,42 +171,32 @@ class Dag:
 
 def _kahn(
     vertices: tuple[str, ...],
-    pa: dict[str, list[str]],
-    ch: dict[str, list[str]],
-) -> tuple[str, ...]:
-    """Deterministic topological order: ties broken by declaration order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    indeg = {v: len(pa[v]) for v in vertices}
-    heap = [index[v] for v in vertices if indeg[v] == 0]
-    heapq.heapify(heap)
+    index: dict[str, int],
+    pa: list[list[str]],
+    ch: list[list[str]],
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Deterministic topological order, ties broken by declaration order,
+    and the reflexive ancestor masks, each filled when its vertex is popped
+    (its parents all were before it)."""
+    indeg = [len(ps) for ps in pa]
+    heap = [i for i, d in enumerate(indeg) if not d]  # ascending: a heap
+    an = [0] * len(vertices)
     out: list[str] = []
     while heap:
-        v = vertices[heapq.heappop(heap)]
-        out.append(v)
-        for c in ch[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, index[c])
-    if len(out) != len(vertices):
-        raise CycleError("graph contains a cycle")
-    return tuple(out)
-
-
-def _build_masks(g: Dag) -> tuple[tuple[int, ...], ...]:
-    index = g._index
-    pa = [0] * len(g.vertices)
-    ch = [0] * len(g.vertices)
-    for u, v in g.edges:
-        pa[index[v]] |= 1 << index[u]
-        ch[index[u]] |= 1 << index[v]
-    an = [0] * len(g.vertices)
-    for v in g._topo:
-        i = index[v]
+        i = heapq.heappop(heap)
+        out.append(vertices[i])
         m = 1 << i
-        for p in g._pa[v]:
+        for p in pa[i]:
             m |= an[index[p]]
         an[i] = m
-    return tuple(pa), tuple(ch), tuple(an)
+        for c in ch[i]:
+            k = index[c]
+            indeg[k] -= 1
+            if not indeg[k]:
+                heapq.heappush(heap, k)
+    if len(out) != len(vertices):
+        raise CycleError("graph contains a cycle")
+    return tuple(out), tuple(an)
 
 
 # -- file format -----------------------------------------------------------
@@ -220,19 +208,16 @@ def parse_graph(text: str) -> Dag:
     bare labels declaring isolated vertices.  Vertices keep first-appearance
     order.
     """
-    vertices: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    edge_seen: set[tuple[str, str]] = set()
-    treatment: str | None = None
-    outcome: str | None = None
+    # vertices and edges as dict keys: ordered, and checked once each
+    seen: dict[str, None] = {}
+    edges: dict[tuple[str, str], None] = {}
+    roles: dict[str, str | None] = {"treatment": None, "outcome": None}
 
     def declare(label: str, line_no: int) -> None:
+        # a label is checked when first seen; every later mention is known good
         if not _LABEL_RE.match(label):
             raise GraphParseError(f"invalid label {label!r}", line_no)
-        if label not in seen:
-            seen.add(label)
-            vertices.append(label)
+        seen[label] = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -240,39 +225,35 @@ def parse_graph(text: str) -> Dag:
             continue
         if line.startswith("!"):
             parts = line[1:].split()
-            if len(parts) != 2 or parts[0] not in ("treatment", "outcome"):
+            if len(parts) != 2 or parts[0] not in roles:
                 raise GraphParseError(f"malformed directive {line!r}", line_no)
-            key, label = parts
-            if key == "treatment":
-                if treatment is not None:
-                    raise GraphParseError("duplicate !treatment directive", line_no)
-                treatment = label
-            else:
-                if outcome is not None:
-                    raise GraphParseError("duplicate !outcome directive", line_no)
-                outcome = label
+            role, label = parts
+            if roles[role] is not None:
+                raise GraphParseError(f"duplicate !{role} directive", line_no)
+            roles[role] = label
             continue
         m = _EDGE_RE.match(line)
         if m:
-            u, v = m.group(1), m.group(2)
-            declare(u, line_no)
-            declare(v, line_no)
+            u, v = m.groups()
+            if u not in seen:
+                declare(u, line_no)
+            if v not in seen:
+                declare(v, line_no)
             if u == v:
                 raise GraphParseError(f"self-loop at {u!r}", line_no)
-            if (u, v) in edge_seen:
+            if (u, v) in edges:
                 raise GraphParseError(f"duplicate edge {u} -> {v}", line_no)
-            edge_seen.add((u, v))
-            edges.append((u, v))
+            edges[u, v] = None
             continue
         if "->" in line:
             raise GraphParseError(f"malformed edge line {line!r}", line_no)
-        declare(line, line_no)
+        if line not in seen:
+            declare(line, line_no)
 
-    if treatment is None or treatment not in seen:
-        raise GraphError("treatment is missing or undeclared")
-    if outcome is None or outcome not in seen:
-        raise GraphError("outcome is missing or undeclared")
-    return Dag(vertices, edges, treatment, outcome)
+    for role, label in roles.items():
+        if label not in seen:
+            raise GraphError(f"{role} is missing or undeclared")
+    return Dag(seen, edges, roles["treatment"], roles["outcome"])
 
 
 def format_graph(g: Dag) -> str:
@@ -353,18 +334,12 @@ def descendants(g: Dag, s: Iterable[str]) -> frozenset[str]:
 
 def parents(g: Dag, s: Iterable[str]) -> frozenset[str]:
     """Union of parent sets of ``s`` (not reflexive)."""
-    out: set[str] = set()
-    for v in _as_set(g, s):
-        out |= g.parents(v)
-    return frozenset(out)
+    return frozenset().union(*map(g.parents, s))
 
 
 def children(g: Dag, s: Iterable[str]) -> frozenset[str]:
     """Union of child sets of ``s`` (not reflexive)."""
-    out: set[str] = set()
-    for v in _as_set(g, s):
-        out |= g.children(v)
-    return frozenset(out)
+    return frozenset().union(*map(g.children, s))
 
 
 def d_separated(

@@ -79,11 +79,80 @@ class TestParse:
         with pytest.raises(GraphParseError):
             parse_graph("!treatment A\n!outcome Y\nA -> Y\nA -> Y")
 
-    def test_format_round_trip(self):
-        for name in ("motivating", "zoo", "covariate_web"):
-            g = golden(name)
-            assert parse_graph(format_graph(g)) == g
-            assert parse_graph(format_graph(g)).vertices == g.vertices
+    @pytest.mark.parametrize(
+        "body, error, message, line",
+        [
+            ("A -> ", GraphParseError, "malformed edge line 'A ->'", 3),
+            ("-> B", GraphParseError, "malformed edge line '-> B'", 3),
+            ("A -> B -> C", GraphParseError, "malformed edge line 'A -> B -> C'", 3),
+            # the edge pattern splits at the first arrow it can
+            ("A ->B->C", GraphParseError, "invalid label 'B->C'", 3),
+            ("A->->B", GraphParseError, "invalid label 'A->'", 3),
+            ("1A -> B", GraphParseError, "invalid label '1A'", 3),
+            ("A -> Y\nA -> Y", GraphParseError, "duplicate edge A -> Y", 4),
+            ("A -> Y\nB -> B", GraphParseError, "self-loop at 'B'", 4),
+            ("A -> Y\n!treatment A", GraphParseError, "duplicate !treatment directive", 4),
+            ("A -> Y\n!outcome", GraphParseError, "malformed directive '!outcome'", 4),
+            ("A -> B\nB -> Y\nY -> A", CycleError, "graph contains a cycle", None),
+        ],
+    )
+    def test_malformed_text_names_its_fault_and_line(self, body, error, message, line):
+        with pytest.raises(GraphError) as err:
+            parse_graph("!treatment A\n!outcome Y\n" + body)
+        assert type(err.value) is error
+        if line is None:
+            assert str(err.value) == message and not hasattr(err.value, "line")
+        else:
+            assert str(err.value) == f"line {line}: {message}" and err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("!outcome Y\nA -> Y", "treatment is missing or undeclared"),
+            ("!treatment Q\n!outcome Y\nA -> Y", "treatment is missing or undeclared"),
+            ("!treatment A\nA -> Y", "outcome is missing or undeclared"),
+            ("!treatment A\n!outcome Z\nA -> Y", "outcome is missing or undeclared"),
+        ],
+    )
+    def test_missing_or_undeclared_role(self, text, message):
+        with pytest.raises(GraphError) as err:
+            parse_graph(text)
+        assert type(err.value) is GraphError and str(err.value) == message
+
+    def test_format_round_trip(self, rng):
+        graphs = [golden(name) for name in ("motivating", "zoo", "covariate_web")]
+        for n in (5, 12, 40, 65, 90, 200):
+            g = random_dag(rng, n, 2.5 / n)
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            vertices = [str(v) for v in rng.permutation(g.vertices)]
+            graphs.append(Dag(vertices, edges, g.treatment, g.outcome))
+        for g in graphs:
+            back = parse_graph(format_graph(g))
+            assert back == g
+            assert back.vertices == g.vertices and back.edges == g.edges
+            assert topo_sort(back) == topo_sort(g)
+            assert back._masks == g._masks
+
+
+class TestDagErrors:
+    @pytest.mark.parametrize(
+        "vertices, edges, treatment, outcome, error, message",
+        [
+            ("AAY", ["AY"], "A", "Y", GraphError, "duplicate vertex labels"),
+            ("AY", ["AZ"], "A", "Y", GraphError, "edge (A, Z) references undeclared vertex"),
+            ("AY", ["AY", "AA"], "A", "Y", GraphError, "self-loop at A"),
+            ("AY", ["AY", "AY"], "A", "Y", GraphError, "duplicate edges"),
+            ("AY", ["AY"], "Q", "Y", GraphError, "treatment 'Q' is not a declared vertex"),
+            ("AY", ["AY"], "A", "Q", GraphError, "outcome 'Q' is not a declared vertex"),
+            ("AY", ["AY"], "A", "A", GraphError, "treatment and outcome must differ"),
+            ("ABY", ["AB", "BY", "YA"], "A", "Y", CycleError, "graph contains a cycle"),
+        ],
+    )
+    def test_single_fault(self, vertices, edges, treatment, outcome, error, message):
+        with pytest.raises(GraphError) as err:
+            Dag(list(vertices), [tuple(e) for e in edges], treatment, outcome)
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestTopoSort:
@@ -313,14 +382,22 @@ class TestMaskCost:
                 if rng.random() < 0.7:
                     edges.add((vs[j], vs[i]))
         g = Dag(vs, sorted(edges), "V150", "V299")
-        built = []
-        build = graph_module._build_masks
+        masks = vars(g)["_masks"]  # built by the constructor
+        # the masks are built in the constructor's topological sort, so one
+        # sort per Dag constructed means no mask build outside a constructor
+        sorts, dags = [], []
+        kahn, init = graph_module._kahn, Dag.__init__
 
-        def counted(dag):
-            built.append(dag)
-            return build(dag)
+        def counted_kahn(*args):
+            sorts.append(args[0])
+            return kahn(*args)
 
-        monkeypatch.setattr(graph_module, "_build_masks", counted)
+        def counted_init(self, *args):
+            dags.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(graph_module, "_kahn", counted_kahn)
+        monkeypatch.setattr(Dag, "__init__", counted_init)
         callers = []
         for name in ("ancestors", "_reach"):
 
@@ -331,8 +408,8 @@ class TestMaskCost:
             monkeypatch.setattr(graph_module, name, recorded)
         report = reduce(g)
         assert report.verdicts and report.removed
-        assert any(dag is g for dag in built)
-        assert set(Counter(map(id, built)).values()) == {1}
+        assert g._masks is masks
+        assert dags and len(sorts) == len(dags)
         assert callers and "d_separated" not in callers
 
 
