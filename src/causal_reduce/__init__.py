@@ -54,7 +54,6 @@ from .bn import (
 from .functionals import (
     EifContext,
     EmptyCellError,
-    EstimateReport,
     adjustment_exact,
     adjustment_if_variance,
     eif_exact,

@@ -24,7 +24,6 @@ from .graph import Dag, GraphError, _reach, topo_sort
 __all__ = [
     "DiscreteBn",
     "Dataset",
-    "ValidationCertificate",
     "NormalizationError",
     "PositivityError",
     "ZeroConditioningEvent",
@@ -148,18 +147,11 @@ class DiscreteBn:
         return DiscreteBn(self.graph, self.cards, cpts)
 
 
-@dataclass(frozen=True)
-class ValidationCertificate:
-    rows_checked: int
-
-
-def validate(bn: DiscreteBn) -> ValidationCertificate:
+def validate(bn: DiscreteBn) -> None:
     """Check that every CPT entry lies in [0, 1] and every row sums to 1."""
-    rows = 0
     for v in bn.graph.vertices:
         table = bn.cpts[v]
         flat = table.reshape(-1, bn.cards[v])
-        rows += flat.shape[0]
         if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
             raise NormalizationError(f"CPT for {v!r} has entries outside [0, 1]")
         sums = flat.sum(axis=1)
@@ -170,7 +162,6 @@ def validate(bn: DiscreteBn) -> ValidationCertificate:
                 f"CPT row for {v!r} at parent state {tuple(int(i) for i in idx)} "
                 f"sums to {sums[bad[0]]:.12g}"
             )
-    return ValidationCertificate(rows_checked=rows)
 
 
 # -- exact factor contraction -------------------------------------------------

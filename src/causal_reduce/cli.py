@@ -123,7 +123,7 @@ def _cmd_gformula(args) -> int:
     if args.reduce:
         g = reduce(g).output
     f = derive_gformula(g)
-    out = render(f, args.format, treatment=g.treatment)
+    out = render(f, args.format)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -146,6 +146,7 @@ def _cmd_estimate(args) -> int:
         raise GraphError("--mediators applies only to --estimator front-door")
     if args.bn:
         network = bnmod.load_bn(args.bn)
+        n = None
         if args.estimator == "g":
             value = g_functional_exact(network, level)
         elif args.estimator == "adjustment":
@@ -156,24 +157,23 @@ def _cmd_estimate(args) -> int:
             value = eif_variance(network, level)
         else:
             raise GraphError(f"unknown estimator {args.estimator!r}")
-        payload = {"estimator": args.estimator, "value": value, "n": None}
     elif args.data:
         if not args.graph:
             raise GraphError("--data estimation needs --graph")
         g = _read_graph(args.graph)
         ds = bnmod.dataset_from_csv(args.data)
+        n = ds.n
         if args.estimator == "g":
-            report = plugin_g(ds, g, level, laplace=args.laplace)
+            value = plugin_g(ds, g, level, laplace=args.laplace)
         elif args.estimator == "adjustment":
-            report = plugin_adjustment(ds, g, adjust, level)
+            value = plugin_adjustment(ds, g, adjust, level)
         else:
             raise GraphError(
                 f"estimator {args.estimator!r} is not available on data"
             )
-        payload = {"estimator": report.estimator, "value": report.value, "n": report.n}
     else:
         raise GraphError("estimate needs --bn or --data")
-    _emit(payload, args.json)
+    _emit({"estimator": args.estimator, "value": value, "n": n}, args.json)
     return 0
 
 

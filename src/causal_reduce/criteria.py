@@ -39,9 +39,20 @@ class CriterionVerdict:
     chain: tuple[str, ...]
 
 
-def _check_chain(
-    g: Dag, vertex: str, chain: tuple[str, ...], targets: frozenset[str]
+def _criterion(
+    g: Dag, vertex: str, members: frozenset[str], name: str,
+    group: frozenset[str], targets: frozenset[str],
 ) -> CriterionVerdict:
+    """The criterion of ``vertex``, which must be in ``members``, along its
+    chain of children in ``group`` with d-separation from ``targets``.
+    ``name`` names ``members`` in errors; its first letter names ``group``."""
+    if vertex not in members:
+        raise ValueError(f"{vertex!r} is not in {name}")
+    chain = g.sort_topologically(g.children(vertex) & group)
+    if not chain:
+        raise RuntimeError(
+            f"internal invariant violated: {vertex!r} in {name} has no child in {name[0]}"
+        )
     last = chain[-1]
     cond = {last} | (g.parents(last) - {vertex})
     if not d_separated(g, {vertex}, targets, cond):
@@ -60,27 +71,13 @@ def _check_chain(
 
 def w_criterion(g: Dag, tax: Taxonomy, wj: str) -> CriterionVerdict:
     """Check whether baseline covariate ``wj`` is uninformative."""
-    if wj not in tax.w - tax.o:
-        raise ValueError(f"{wj!r} is not in W \\ O")
-    chain = g.sort_topologically(g.children(wj) & tax.w)
-    if not chain:
-        raise RuntimeError(
-            f"internal invariant violated: {wj!r} in W \\ O has no child in W"
-        )
-    return _check_chain(g, wj, chain, tax.o)
+    return _criterion(g, wj, tax.w - tax.o, "W \\ O", tax.w, tax.o)
 
 
 def m_criterion(g: Dag, tax: Taxonomy, mi: str) -> CriterionVerdict:
     """Check whether mediator ``mi`` (not the outcome) is uninformative."""
-    if mi not in tax.m - {g.outcome}:
-        raise ValueError(f"{mi!r} is not in M \\ {{Y}}")
-    chain = g.sort_topologically(g.children(mi) & tax.m)
-    if not chain:
-        raise RuntimeError(
-            f"internal invariant violated: {mi!r} in M \\ {{Y}} has no child in M"
-        )
     targets = frozenset({g.treatment, g.outcome}) | tax.o_min
-    return _check_chain(g, mi, chain, targets)
+    return _criterion(g, mi, tax.m - {g.outcome}, "M \\ {Y}", tax.m, targets)
 
 
 def criterion_verdicts(g: Dag, tax: Taxonomy) -> dict[str, CriterionVerdict]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .bn import DiscreteBn
 from .functionals import _g_formula_exact
 from .graph import Dag, GraphError, ancestors, topo_sort
+from .taxonomy import AssumptionViolation
 
 __all__ = ["GFormula", "Factor", "derive_gformula", "render", "parse_json", "evaluate"]
 
@@ -47,8 +48,6 @@ def derive_gformula(g: Dag) -> GFormula:
     """The g-formula of ``g``: factors in topological order, treatment factor
     dropped, treatment substituted where it is a parent."""
     if g.treatment not in ancestors(g, {g.outcome}):
-        from .taxonomy import AssumptionViolation
-
         raise AssumptionViolation(
             f"treatment {g.treatment!r} is not an ancestor of outcome {g.outcome!r}"
         )
@@ -65,6 +64,12 @@ def derive_gformula(g: Dag) -> GFormula:
     return GFormula(
         level="a", outcome=g.outcome, sum_vars=sum_vars, factors=factors
     )
+
+
+def _treatment_labels(f: GFormula) -> set[str]:
+    """The labels that stand for the treatment: the factors' parents that are
+    not summed."""
+    return {v for fa in f.factors for v in fa.parents if v not in f.sum_vars}
 
 
 def _sym(label: str, level: str, treatment_labels: set[str], latex: bool) -> str:
@@ -86,12 +91,10 @@ def _ordered_args(f: Factor, treatment: set[str]) -> list[str]:
     return subs + rest
 
 
-def render(f: GFormula, fmt: str = "text", treatment: str | None = None) -> str:
-    """Deterministic rendering as ``text``, ``latex`` or ``json``.
-
-    The treatment label is inferred from the substituted factors; pass
-    ``treatment`` explicitly for formulas with no substitution.
-    """
+def render(f: GFormula, fmt: str = "text") -> str:
+    """Deterministic rendering as ``text``, ``latex`` or ``json``.  A
+    factor's parent that is not summed is the treatment and renders as the
+    level."""
     if fmt == "json":
         return json.dumps(
             {
@@ -109,12 +112,7 @@ def render(f: GFormula, fmt: str = "text", treatment: str | None = None) -> str:
             },
             indent=2,
         )
-    treat: set[str] = set()
-    if treatment is not None:
-        treat.add(treatment)
-    for fa in f.factors:
-        if fa.substitute_a:
-            treat |= set(fa.parents) - set(f.sum_vars)
+    treat = _treatment_labels(f)
     latex = fmt == "latex"
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -179,9 +177,7 @@ def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
     """
     if set(f.sum_vars) != {fa.child for fa in f.factors}:
         raise GraphError("formula must carry one factor per summation variable")
-    treat_labels = {
-        v for fa in f.factors for v in fa.parents if v not in f.sum_vars
-    }
+    treat_labels = _treatment_labels(f)
     if len(treat_labels) > 1:
         raise GraphError("formula references more than one non-summed label")
     treatment = treat_labels.pop() if treat_labels else bn.graph.treatment

@@ -37,7 +37,6 @@ from .graph import Dag, GraphError, _as_set, descendants
 from .taxonomy import Taxonomy, classify
 
 __all__ = [
-    "EstimateReport",
     "EifContext",
     "EmptyCellError",
     "g_functional_exact",
@@ -55,20 +54,13 @@ __all__ = [
 
 
 class EmptyCellError(ValueError):
-    """A plugin estimator needed a conditional cell with no observations."""
+    """A plugin estimator needed a conditional cell with no observations.
+    ``cell`` names it as the exact routes' null-event errors do; it is
+    ``None`` only where ``run_simulation`` gives up after skipping."""
 
-    def __init__(self, message: str, cells: list[tuple[str, tuple[int, ...]]]):
+    def __init__(self, message: str, cell: tuple[str, tuple[int, ...]] | None):
         super().__init__(message)
-        self.cells = cells
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """An estimator's value on a dataset of ``n`` rows."""
-
-    estimator: str
-    value: float
-    n: int
+        self.cell = cell
 
 
 def _sum_to(joint: np.ndarray, labels: Sequence[str], keep: Iterable[str]) -> np.ndarray:
@@ -550,12 +542,10 @@ def _empty_cells() -> Iterator[None]:
         yield
     except (PositivityError, ZeroConditioningEvent) as exc:
         message = f"no observations at needed cell {exc.cell}: {exc}"
-        raise EmptyCellError(message, [exc.cell]) from exc
+        raise EmptyCellError(message, exc.cell) from exc
 
 
-def plugin_g(
-    dataset: Dataset, g: Dag, a: int, laplace: float | None = None
-) -> EstimateReport:
+def plugin_g(dataset: Dataset, g: Dag, a: int, laplace: float | None = None) -> float:
     """Maximum-likelihood plugin of the g-formula under ``g``.
 
     The g-formula kernel with each conditional read from the counts of its
@@ -567,10 +557,10 @@ def plugin_g(
     equals the reduced graph's.
 
     A conditioning cell that carries positive weight but was never observed
-    raises :class:`EmptyCellError`, whose ``cells`` hold the child with the
-    state of its other parents; pass ``laplace`` to add it to every family
-    count instead (explicit opt-in); it must be finite and at least 0, and 0
-    adds nothing.
+    raises :class:`EmptyCellError`, whose ``cell`` is the exact routes'
+    cell: the child with the states of its other parents.  Pass ``laplace``
+    to add it to every family count instead (explicit opt-in); it must be
+    finite and at least 0, and 0 adds nothing.
     """
     if laplace is not None and not 0.0 <= laplace < np.inf:
         raise ValueError(f"laplace must be finite and >= 0, got {laplace}")
@@ -579,17 +569,13 @@ def plugin_g(
     law = _family_tables(cards, labels, partial(_counts, dataset, cards=cards), laplace or 0.0)
     factors = [(v, g.parent_list(v)) for v in labels if v != g.treatment]
     with _empty_cells():
-        value = _g_formula(law, labels, cards, factors, g.treatment, g.outcome, a)
-    return EstimateReport("g_formula", value, dataset.n)
+        return _g_formula(law, labels, cards, factors, g.treatment, g.outcome, a)
 
 
-def plugin_adjustment(
-    dataset: Dataset, g: Dag, L: Iterable[str], a: int
-) -> EstimateReport:
+def plugin_adjustment(dataset: Dataset, g: Dag, L: Iterable[str], a: int) -> float:
     """Empirical adjustment estimator: sum over l of mean(Y | A=a, L=l) P_n(l),
     the adjustment formula on the empirical law, which is :func:`plugin_g`
     on G_L (:func:`_adjustment_graph`).  ``L`` holds no descendant of A
     under ``g``.  An L state seen without A=a raises :class:`EmptyCellError`
     with cell ``('Y', l)``."""
-    value = plugin_g(dataset, _adjustment_graph(g, L), a).value
-    return EstimateReport("adjustment", value, dataset.n)
+    return plugin_g(dataset, _adjustment_graph(g, L), a)

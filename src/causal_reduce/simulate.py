@@ -187,25 +187,20 @@ def run_simulation(
     while done < cfg.replications:
         if len(skips) > 10 * cfg.replications:
             raise EmptyCellError(
-                f"gave up after skipping {len(skips)} replications", []
+                f"gave up after skipping {len(skips)} replications", None
             )
         seed = derive_seed(cfg.seed, rep)
         ds = sample(bn, cfg.n, seed)
         rep += 1
-        try:
-            full = plugin_g(ds, g_full, level).value
-            red = plugin_g(ds, g_reduced, level).value
-            adj = plugin_adjustment(ds, g_full, {"O1"}, level).value
+        try:  # a replication that raises leaves slot `done` to the next one
+            values["g_plugin_full"][done] = plugin_g(ds, g_full, level)
+            values["g_plugin_reduced"][done] = plugin_g(ds, g_reduced, level)
+            values["adjustment"][done] = plugin_adjustment(ds, g_full, {"O1"}, level)
         except EmptyCellError as exc:
             if on_empty == "skip":
-                skips.append(SkippedReplication(rep - 1, seed, exc.cells[0]))
+                skips.append(SkippedReplication(rep - 1, seed, exc.cell))
                 continue
-            raise EmptyCellError(
-                f"replication {rep - 1}: {exc}", exc.cells
-            ) from exc
-        values["g_plugin_full"][done] = full
-        values["g_plugin_reduced"][done] = red
-        values["adjustment"][done] = adj
+            raise EmptyCellError(f"replication {rep - 1}: {exc}", exc.cell) from exc
         done += 1
 
     rows = []

@@ -44,9 +44,8 @@ def biased_chain() -> DiscreteBn:
 
 
 class TestValidate:
-    def test_certificate(self):
-        cert = validate(coin_pair())
-        assert cert.rows_checked == 3
+    def test_valid_network_passes(self):
+        assert validate(coin_pair()) is None
 
     def test_normalization_error(self):
         g = golden("trivial")

@@ -7,7 +7,7 @@ import pytest
 
 from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
 from causal_reduce.cli import main
-from causal_reduce.functionals import plugin_g
+from causal_reduce.functionals import plugin_adjustment, plugin_g
 from causal_reduce.graph import Dag, format_graph, parse_graph
 from causal_reduce.reduction import reduce
 from conftest import COVARIATE_WEB_TEXT, MOTIVATING_TEXT, MOTIVATING_FLIPPED_TEXT, golden
@@ -237,7 +237,7 @@ class TestEstimate:
         argv = ["estimate", "--data", str(data_path), "--graph", str(graph_path)]
         code, out, err = run(capsys, argv + ["--level", "1", "--estimator", "g"])
         assert code == 0, err
-        want = plugin_g(ds, reduce(g).output, 1).value
+        want = plugin_g(ds, reduce(g).output, 1)
         assert abs(json.loads(out)["value"] - want) <= 1e-12
 
     def test_plugin_on_csv(self, capsys, tmp_path, motivating_file):
@@ -266,6 +266,31 @@ class TestEstimate:
         payload = json.loads(out)
         assert 0.0 <= payload["value"] <= 1.0
         assert payload["n"] == 4000
+
+    @pytest.mark.parametrize("estimator, extra", [("g", []), ("adjustment", ["--adjust", "O1"])])
+    def test_payload_names_the_estimator_flag(self, capsys, tmp_path, estimator, extra):
+        # the same keys from the law and from data: the --estimator value,
+        # the estimate, and the row count or null
+        g = golden("motivating")
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=4, epsilon=0.05)
+        ds = sample(bn, 4000, seed=5)
+        bn_path, data_path, graph_path = tmp_path / "net.json", tmp_path / "d.csv", tmp_path / "g.graph"
+        save_bn(bn, str(bn_path))
+        dataset_to_csv(ds, str(data_path))
+        graph_path.write_text(MOTIVATING_TEXT)
+        flags = ["--estimator", estimator, "--level", "1"] + extra
+        plugin = plugin_g(ds, g, 1) if estimator == "g" else plugin_adjustment(ds, g, {"O1"}, 1)
+        for source, n, value in (
+            (["--bn", str(bn_path)], None, None),
+            (["--data", str(data_path), "--graph", str(graph_path)], 4000, plugin),
+        ):
+            code, out, err = run(capsys, ["estimate"] + source + flags)
+            assert code == 0, err
+            payload = json.loads(out)
+            assert list(payload) == ["estimator", "value", "n"]
+            assert payload["estimator"] == estimator and payload["n"] == n
+            if value is not None:
+                assert payload["value"] == value
 
     @pytest.mark.parametrize(
         "estimator, extra, code",

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script, and the README's library tour, runs to completion
+against the package in ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,12 @@ def test_demo_runs(script):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout
+
+
+def test_readme_library_tour_runs():
+    # the tour's code block names public functions; a removed or renamed
+    # one fails here rather than in a reader's session
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    exec(compile(block, "README.md: Library tour", "exec"), {})

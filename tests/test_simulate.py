@@ -105,6 +105,15 @@ class TestRun:
         with pytest.raises(EmptyCellError) as err:
             run_simulation(cfg)
         assert "replication" in str(err.value)
+        assert err.value.cell == err.value.__cause__.cell
+
+    def test_giving_up_names_no_cell(self):
+        # no replication of five rows covers the 50 x 50 covariate pairs
+        cfg = SimConfig("b", m=50, k=10, n=5, replications=1, seed=0)
+        with pytest.raises(EmptyCellError) as err:
+            run_simulation(cfg, on_empty="skip")
+        assert str(err.value) == "gave up after skipping 11 replications"
+        assert err.value.cell is None
 
     def test_skip_mode_counts_and_completes(self):
         # roughly half the replications at this n miss a covariate pair
@@ -238,7 +247,7 @@ def test_skips_name_their_seed_and_empty_cell():
             plugin_g(ds, bn.graph, 1)
             plugin_g(ds, g_reduced, 1)
             plugin_adjustment(ds, bn.graph, {"O1"}, 1)
-        assert err.value.cells[0] == skip.cell
+        assert err.value.cell == skip.cell
     payload = sim_table_to_dict(cfg, table)
     assert payload["skipped_replications"] == 14
     assert payload["skips"] == [
