@@ -66,7 +66,7 @@ from .functionals import (
     plugin_adjustment,
     plugin_g,
 )
-from .formula import Factor, GFormula, derive_gformula, evaluate, parse_json, render
+from .formula import Factor, GFormula, derive_gformula, evaluate, render
 from .simulate import (
     SimConfig,
     SimRow,

@@ -15,21 +15,20 @@ import re
 from dataclasses import dataclass
 
 from .bn import DiscreteBn
-from .functionals import _g_formula_exact
-from .graph import Dag, GraphError, ancestors, topo_sort
+from .functionals import _factors, _g_formula_exact
+from .graph import Dag, GraphError, ancestors
 from .taxonomy import AssumptionViolation
 
-__all__ = ["GFormula", "Factor", "derive_gformula", "render", "parse_json", "evaluate"]
+__all__ = ["GFormula", "Factor", "derive_gformula", "render", "evaluate"]
 
 
 @dataclass(frozen=True)
 class Factor:
-    """One conditional density p(child | parents); ``substitute_a`` marks
-    that the treatment appears among the parents and is set to the level."""
+    """One conditional density p(child | parents); a parent that is not
+    summed is the treatment, set to the level."""
 
     child: str
     parents: tuple[str, ...]
-    substitute_a: bool
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class GFormula:
 
     ``outcome`` names the variable whose value is averaged."""
 
-    level: str
     outcome: str
     sum_vars: tuple[str, ...]
     factors: tuple[Factor, ...]
@@ -52,18 +50,8 @@ def derive_gformula(g: Dag) -> GFormula:
             f"treatment {g.treatment!r} is not an ancestor of outcome {g.outcome!r}"
         )
     sum_vars = tuple(v for v in g.vertices if v != g.treatment)
-    factors = tuple(
-        Factor(
-            child=v,
-            parents=g.parent_list(v),
-            substitute_a=g.treatment in g.parents(v),
-        )
-        for v in topo_sort(g)
-        if v != g.treatment
-    )
-    return GFormula(
-        level="a", outcome=g.outcome, sum_vars=sum_vars, factors=factors
-    )
+    factors = tuple(Factor(v, parents) for v, parents in _factors(g))
+    return GFormula(outcome=g.outcome, sum_vars=sum_vars, factors=factors)
 
 
 def _treatment_labels(f: GFormula) -> set[str]:
@@ -72,108 +60,78 @@ def _treatment_labels(f: GFormula) -> set[str]:
     return {v for fa in f.factors for v in fa.parents if v not in f.sum_vars}
 
 
-def _sym(label: str, level: str, treatment_labels: set[str], latex: bool) -> str:
-    if label in treatment_labels:
-        return level
+def _latex_sym(label: str) -> str:
+    """A label in LaTeX: lower case, underscores escaped, and a trailing
+    number set as a subscript."""
     low = label.lower()
-    if latex:
-        m = re.match(r"^([a-z_]+)(\d+)$", low)
-        if m:
-            base = m.group(1).replace("_", "\\_")
-            return f"{base}_{{{m.group(2)}}}" if len(m.group(2)) > 1 else f"{base}_{m.group(2)}"
-        return low.replace("_", "\\_")
-    return low
+    m = re.match(r"^([a-z_]+)(\d+)$", low)
+    if m:
+        base = m.group(1).replace("_", "\\_")
+        return f"{base}_{{{m.group(2)}}}" if len(m.group(2)) > 1 else f"{base}_{m.group(2)}"
+    return low.replace("_", "\\_")
 
 
-def _ordered_args(f: Factor, treatment: set[str]) -> list[str]:
-    subs = [p for p in f.parents if p in treatment]
-    rest = [p for p in f.parents if p not in treatment]
-    return subs + rest
+# Per format: the symbol of a label, the sum sign, the conditional bar, the
+# list separator, the product sign, and whether a lone summation subscript
+# wider than one character is braced.
+_STYLES = {
+    "text": (str.lower, "sum", "|", ",", " * ", False),
+    "latex": (_latex_sym, "\\sum", " \\mid ", ", ", " \\, ", True),
+}
 
 
 def render(f: GFormula, fmt: str = "text") -> str:
     """Deterministic rendering as ``text``, ``latex`` or ``json``.  A
     factor's parent that is not summed is the treatment and renders as the
-    level."""
+    level ``a``."""
+    treat = _treatment_labels(f)
     if fmt == "json":
         return json.dumps(
             {
-                "level": f.level,
+                "level": "a",
                 "outcome": f.outcome,
                 "sum_vars": list(f.sum_vars),
                 "factors": [
                     {
                         "child": fa.child,
                         "parents": list(fa.parents),
-                        "substitute_a": fa.substitute_a,
+                        "substitute_a": not treat.isdisjoint(fa.parents),
                     }
                     for fa in f.factors
                 ],
             },
             indent=2,
         )
-    treat = _treatment_labels(f)
-    latex = fmt == "latex"
-    if fmt not in ("text", "latex"):
+    if fmt not in _STYLES:
         raise ValueError(f"unknown format {fmt!r}")
-    outcome = f.outcome
+    label_sym, sum_sign, bar, sep, times, brace_wide = _STYLES[fmt]
+
+    def sym(label: str) -> str:
+        return "a" if label in treat else label_sym(label)
+
     decl = {v: i for i, v in enumerate(f.sum_vars)}
     display_order = sorted(
-        f.factors, key=lambda fa: (fa.child != outcome, decl.get(fa.child, 0))
+        f.factors, key=lambda fa: (fa.child != f.outcome, decl.get(fa.child, 0))
     )
-    sum_syms = [
-        _sym(fa.child, f.level, treat, latex) for fa in display_order
-    ]
-    y_sym = _sym(outcome, f.level, treat, latex)
-    pieces = []
+    sum_syms = [sym(fa.child) for fa in display_order]
+    braced = len(sum_syms) > 1 or (brace_wide and len(sum_syms[0]) > 1)
+    sub = "{" + sep.join(sum_syms) + "}" if braced else sum_syms[0]
+    terms = [f"{sum_sign}_{sub} {sym(f.outcome)}"]
     for fa in display_order:
-        args = [_sym(x, f.level, treat, latex) for x in _ordered_args(fa, treat)]
-        child = _sym(fa.child, f.level, treat, latex)
-        if latex:
-            body = f"p({child} \\mid {', '.join(args)})" if args else f"p({child})"
-        else:
-            body = f"p({child}|{','.join(args)})" if args else f"p({child})"
-        pieces.append(body)
-    if latex:
-        head = (
-            f"\\sum_{{{', '.join(sum_syms)}}} {y_sym}"
-            if len(sum_syms) > 1 or len(sum_syms[0]) > 1
-            else f"\\sum_{sum_syms[0]} {y_sym}"
-        )
-        return head + " \\, " + " \\, ".join(pieces)
-    head = (
-        f"sum_{{{','.join(sum_syms)}}} {y_sym}"
-        if len(sum_syms) > 1
-        else f"sum_{sum_syms[0]} {y_sym}"
-    )
-    return head + " * " + " * ".join(pieces)
-
-
-def parse_json(text: str) -> GFormula:
-    """Inverse of the json rendering; round-trips losslessly."""
-    payload = json.loads(text)
-    return GFormula(
-        level=payload["level"],
-        outcome=payload["outcome"],
-        sum_vars=tuple(payload["sum_vars"]),
-        factors=tuple(
-            Factor(
-                child=fa["child"],
-                parents=tuple(fa["parents"]),
-                substitute_a=bool(fa["substitute_a"]),
-            )
-            for fa in payload["factors"]
-        ),
-    )
+        # the treatment's symbol first, then the other parents in order
+        args = sep.join(sym(x) for x in sorted(fa.parents, key=lambda x: x not in treat))
+        terms.append(f"p({sym(fa.child)}{bar}{args})" if args else f"p({sym(fa.child)})")
+    return times.join(terms)
 
 
 def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
-    """Evaluate the formula against a network's law, exactly, as
-    :func:`~causal_reduce.functionals.g_functional_for_graph` does: each
+    """Evaluate the formula against a network's law, exactly: each
     conditional comes from the marginal law over its factor's labels, so the
     formula may come from a reduced graph; every label must be a vertex.
     The conditionals are contracted family by family, and past 2**14 cells
-    no table over all the labels is formed.
+    no table over all the labels is formed.  On ``derive_gformula(g)`` this
+    is :func:`~causal_reduce.functionals.g_functional_for_graph` on ``g``:
+    the same value to the bit, or the same error with the same ``cell``.
     """
     if set(f.sum_vars) != {fa.child for fa in f.factors}:
         raise GraphError("formula must carry one factor per summation variable")

@@ -33,7 +33,7 @@ from .bn import (
     cpt_factors,
     marginal,
 )
-from .graph import Dag, GraphError, _as_set, descendants
+from .graph import Dag, GraphError, _as_set, descendants, topo_sort
 from .taxonomy import Taxonomy, classify
 
 __all__ = [
@@ -194,12 +194,20 @@ def g_functional_exact(bn: DiscreteBn, a: int) -> float:
     return float(contract(factors, bn.cards, ()))
 
 
+def _factors(g: Dag) -> list[tuple[str, tuple[str, ...]]]:
+    """The g-formula of ``g`` as ``(child, parents)`` factors, one per
+    vertex other than the treatment, in topological order; every route to a
+    graph's g-formula reads its factors here."""
+    return [(v, g.parent_list(v)) for v in topo_sort(g) if v != g.treatment]
+
+
 def _g_formula(
     law: Callable[[list[str]], np.ndarray], labels: Sequence[str], cards: Mapping[str, int],
     factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int,
 ) -> float:
     """A truncated factorization, one ``(child, parents)`` factor per summed
-    vertex, with the treatment fixed at ``a`` where it is a parent.  Each
+    vertex, with the treatment fixed at ``a`` where it is a parent; a
+    graph's factors come from :func:`_factors`, in topological order.  Each
     conditional is read from ``law(family)``: a law, or counts, over the
     factor's family, its axes in ``labels`` order (the other labels' axes
     may be kept as size 1).  The conditionals are contracted with Y's values
@@ -209,9 +217,10 @@ def _g_formula(
     A needed conditional on a zero-probability event raises: with the
     treatment among its parents it is a :class:`PositivityError`, otherwise
     a :class:`ZeroConditioningEvent`; the error's ``cell`` is the child with
-    the states of its other parents, in their order in the factor, and of
-    the needed cells it is the first in C order over those parents taken in
-    ``labels`` order.
+    the states of its other parents, in their order in the factor.  Where
+    several factors need a null event it names the first of them in
+    ``factors`` order, and of that factor's needed cells the first in C
+    order over those parents taken in ``labels`` order.
     """
     _check_level(cards, treat, a)
     for child, parents in factors:  # a family past the guard raises before any table
@@ -304,9 +313,7 @@ def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     from the CPTs past that, and the conditionals are contracted together:
     the full graph of a 60-vertex chain answers.
     """
-    treat = graph.treatment
-    factors = [(v, graph.parent_list(v)) for v in graph.vertices if v != treat]
-    return _g_formula_exact(bn, factors, treat, graph.outcome, a)
+    return _g_formula_exact(bn, _factors(graph), graph.treatment, graph.outcome, a)
 
 
 def adjustment_exact(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
@@ -567,9 +574,8 @@ def plugin_g(dataset: Dataset, g: Dag, a: int, laplace: float | None = None) -> 
     labels = list(g.vertices)
     cards = _data_cards(dataset, labels, g.treatment, a)
     law = _family_tables(cards, labels, partial(_counts, dataset, cards=cards), laplace or 0.0)
-    factors = [(v, g.parent_list(v)) for v in labels if v != g.treatment]
     with _empty_cells():
-        return _g_formula(law, labels, cards, factors, g.treatment, g.outcome, a)
+        return _g_formula(law, labels, cards, _factors(g), g.treatment, g.outcome, a)
 
 
 def plugin_adjustment(dataset: Dataset, g: Dag, L: Iterable[str], a: int) -> float:

@@ -19,7 +19,7 @@ from causal_reduce.bn import (
     sample,
     validate,
 )
-from causal_reduce.graph import Dag, d_separated
+from causal_reduce.graph import Dag, GraphError, d_separated
 from causal_reduce.simulate import DEFAULTS, SimConfig, build_benchmark_dgp
 from conftest import LAW_SUITE, golden
 from oracles import joint_prob_loop, random_dag, sample_gathered
@@ -67,6 +67,18 @@ class TestValidate:
             DiscreteBn(
                 g, {"A": 2, "Y": 2}, {"A": np.array([0.5, 0.5]), "Y": np.array([0.5, 0.5])}
             )
+
+    @pytest.mark.parametrize(
+        "cards, cpts, message",
+        [
+            ({"A": 2}, {"A": [0.5, 0.5]}, "missing cardinality for 'Y'"),
+            ({"A": 2, "Y": 0}, {"A": [0.5, 0.5]}, "cardinality of 'Y' must be >= 1"),
+            ({"A": 2, "Y": 2}, {"A": [0.5, 0.5]}, "missing CPT for 'Y'"),
+        ],
+    )
+    def test_missing_or_empty_declarations_refused(self, cards, cpts, message):
+        with pytest.raises(GraphError, match=message):
+            DiscreteBn(golden("trivial"), cards, cpts)
 
 
 class TestJointTable:

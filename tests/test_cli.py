@@ -7,6 +7,7 @@ import pytest
 
 from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
 from causal_reduce.cli import main
+from causal_reduce.formula import derive_gformula, render
 from causal_reduce.functionals import plugin_adjustment, plugin_g
 from causal_reduce.graph import Dag, format_graph, parse_graph
 from causal_reduce.reduction import reduce
@@ -143,6 +144,13 @@ class TestEquiv:
         code, _, err = run(capsys, ["equiv", "--graph", motivating_file])
         assert code == 2
 
+    def test_treatment_not_an_ancestor_is_not_causal_markov(self, capsys, tmp_path):
+        path = tmp_path / "reversed.graph"
+        path.write_text("!treatment A\n!outcome Y\nY -> A\n")
+        code, out, _ = run(capsys, ["equiv", "--graph", str(path), "--graph", str(path)])
+        assert code == 0
+        assert json.loads(out) == {"markov": True, "causal_markov": False}
+
 
 class TestGFormula:
     def test_text_reduced(self, capsys, motivating_file):
@@ -161,6 +169,13 @@ class TestGFormula:
         assert code == 0
         payload = json.loads(out)
         assert payload["outcome"] == "Y"
+
+    def test_json_format_to_file(self, capsys, motivating_file, tmp_path):
+        path = tmp_path / "out.json"
+        argv = ["gformula", "--graph", motivating_file, "--format", "json", "--json", str(path)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == ""
+        assert path.read_text() == render(derive_gformula(golden("motivating")), "json") + "\n"
 
     @pytest.mark.parametrize("fmt", ["text", "latex"])
     def test_json_path_outside_json_format_rejected(self, capsys, motivating_file, tmp_path, fmt):
@@ -210,6 +225,7 @@ class TestEstimate:
             (lambda p: p["graph"].update(treatment=["A"]), "graph.treatment"),
             (lambda p: p["graph"]["edges"].append("W2"), "graph.edges["),
             (lambda p: p["cpts"]["W2"].update(table=[[None, 1.0]]), "'W2' has entries outside"),
+            (lambda p: p["cpts"]["W2"].update(table=[["x", 1.0]]), "cpts.W2.table must be an array of numbers"),
         ],
     )
     def test_malformed_bn_json_is_input_error(self, capsys, tmp_path, edit, field):
@@ -488,6 +504,31 @@ class TestDataInput:
         code, out, err = estimate_on_csv(capsys, tmp_path, "O,A,Y\n", "adjustment")
         assert code == 2 and out == ""
         assert "no data rows" in err
+
+    def test_missing_header_rejected(self, capsys, tmp_path):
+        code, out, err = estimate_on_csv(capsys, tmp_path, "", "g")
+        assert code == 2 and out == ""
+        assert "no header line" in err
+
+    @pytest.mark.parametrize(
+        "estimator, graph, message",
+        [
+            ("g", False, "--data estimation needs --graph"),
+            ("front-door", True, "estimator 'front-door' is not available on data"),
+            ("eif-variance", True, "estimator 'eif-variance' is not available on data"),
+        ],
+    )
+    def test_data_route_refused(self, capsys, tmp_path, estimator, graph, message):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text(FULL_CELLS_CSV)
+        argv = ["estimate", "--data", str(data_path), "--estimator", estimator]
+        if graph:
+            graph_path = tmp_path / "confounded.graph"
+            graph_path.write_text(CONFOUNDED_TEXT)
+            argv += ["--graph", str(graph_path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_duplicate_labels_rejected(self, capsys, tmp_path):
         text = "O,A,A\n0,1,1\n1,0,0\n"

@@ -40,6 +40,21 @@ class TestMarkov:
 
 
 class TestCausalMarkov:
+    @pytest.mark.parametrize(
+        "roles, message",
+        [
+            (None, "must share a vertex set"),
+            (("A", "O1"), "must share treatment and outcome"),
+            (("I1", "Y"), "must share treatment and outcome"),
+        ],
+        ids=["vertices", "outcome", "treatment"],
+    )
+    def test_mismatch_refused(self, roles, message):
+        g = golden("motivating")
+        other = golden("motivating_reduced") if roles is None else Dag(g.vertices, g.edges, *roles)
+        with pytest.raises(GraphError, match=message):
+            causal_markov_equivalent(g, other)
+
     def test_motivating_pair(self):
         assert causal_markov_equivalent(golden("motivating"), golden("motivating_flipped"))
 

@@ -4,13 +4,56 @@ import numpy as np
 import pytest
 
 from causal_reduce.bn import PositivityError, random_law
-from causal_reduce.formula import derive_gformula, evaluate, parse_json, render
+from causal_reduce.formula import Factor, GFormula, derive_gformula, evaluate, render
 from causal_reduce.functionals import g_functional_exact
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import AssumptionViolation
 from causal_reduce.criteria import informative_set
-from causal_reduce.graph import parse_graph
+from causal_reduce.graph import GraphError, parse_graph
 from conftest import LAW_SUITE, golden, positivity_hole_law
+
+
+# factors and each parent list in topological order; "level" and
+# "substitute_a" are written from the factors, as no field holds them
+MOTIVATING_REDUCED_JSON = """\
+{
+  "level": "a",
+  "outcome": "Y",
+  "sum_vars": [
+    "Y",
+    "O1",
+    "W2",
+    "W3"
+  ],
+  "factors": [
+    {
+      "child": "W2",
+      "parents": [],
+      "substitute_a": false
+    },
+    {
+      "child": "W3",
+      "parents": [],
+      "substitute_a": false
+    },
+    {
+      "child": "O1",
+      "parents": [
+        "W2",
+        "W3"
+      ],
+      "substitute_a": false
+    },
+    {
+      "child": "Y",
+      "parents": [
+        "O1",
+        "A"
+      ],
+      "substitute_a": true
+    }
+  ]
+}"""
 
 
 class TestDerive:
@@ -19,16 +62,16 @@ class TestDerive:
         assert f.sum_vars == ("Y",)
         assert len(f.factors) == 1
         assert f.factors[0].child == "Y"
-        assert f.factors[0].substitute_a
+        assert "A" in f.factors[0].parents
 
     def test_motivating_reduced_structure(self):
         f = derive_gformula(golden("motivating_reduced"))
         assert set(f.sum_vars) == {"Y", "O1", "W2", "W3"}
         by_child = {fa.child: fa for fa in f.factors}
         assert set(by_child["Y"].parents) == {"A", "O1"}
-        assert by_child["Y"].substitute_a
+        assert "A" in by_child["Y"].parents
         assert set(by_child["O1"].parents) == {"W2", "W3"}
-        assert not by_child["O1"].substitute_a
+        assert "A" not in by_child["O1"].parents
 
     def test_one_factor_per_sum_var(self):
         for name in ("motivating", "mediator_chain", "covariate_web"):
@@ -86,10 +129,9 @@ class TestRender:
             == "sum_{y,m1,o1,o2} y * p(y|m1) * p(m1|a,o1,o2) * p(o1) * p(o2)"
         )
 
-    def test_json_round_trip(self):
-        for name in ("trivial", "motivating_reduced", "mediator_chain_reduced", "covariate_web"):
-            f = derive_gformula(golden(name))
-            assert parse_json(render(f, "json")) == f
+    def test_motivating_reduced_json_golden(self):
+        f = derive_gformula(golden("motivating_reduced"))
+        assert render(f, "json") == MOTIVATING_REDUCED_JSON
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -117,13 +159,6 @@ class TestEvaluate:
             bn = random_law(g, cards, seed=11, epsilon=0.02)
             assert abs(evaluate(f, bn, 1) - g_functional_exact(bn, 1)) <= 1e-10
 
-    def test_round_tripped_formula_evaluates_identically(self):
-        g = golden("motivating_reduced")
-        f = derive_gformula(g)
-        f2 = parse_json(render(f, "json"))
-        bn = random_law(g, {v: 2 for v in g.vertices}, seed=1, epsilon=0.05)
-        assert evaluate(f, bn, 1) == evaluate(f2, bn, 1)
-
     def test_positivity_hole_raises(self):
         # p(y | a, o) at a = 1 is undefined at o = 0, which has weight P(O=0)
         # > 0; the evaluator raises instead of reading it as 0
@@ -134,3 +169,18 @@ class TestEvaluate:
         assert evaluate(derive_gformula(bn.graph), bn, 0) == pytest.approx(
             g_functional_exact(bn, 0), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            (
+                GFormula("Y", ("Y",), (Factor("Y", ("A",)), Factor("O", ()))),
+                "one factor per summation variable",
+            ),
+            (GFormula("Y", ("Y",), (Factor("Y", ("A", "O")),)), "more than one non-summed label"),
+        ],
+    )
+    def test_malformed_formula_refused(self, formula, message):
+        bn = positivity_hole_law()
+        with pytest.raises(GraphError, match=message):
+            evaluate(formula, bn, 1)

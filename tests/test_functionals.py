@@ -283,16 +283,22 @@ class TestEif:
         assert eif_variance(bn, 1) == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
-        "point", [(-1, 1), (0.7, 1), (2, 1)], ids=["negative", "fraction", "past_card"]
+        "point, message",
+        [
+            ((-1, 1), r"state -1 of 'A' is not an integer in \[0, 2\)"),
+            ((0.7, 1), r"state 0.7 of 'A' is not an integer in \[0, 2\)"),
+            ((2, 1), r"state 2 of 'A' is not an integer in \[0, 2\)"),
+            ((1,), "state tuple length does not match the vertex count"),
+        ],
+        ids=["negative", "fraction", "past_card", "short"],
     )
     @pytest.mark.parametrize("entry", ["eif_exact", "evaluate"])
-    def test_rejects_a_state_out_of_range(self, entry, point):
+    def test_rejects_a_state_out_of_range(self, entry, point, message):
         # a negative state would wrap, a fraction truncate, a state past the
-        # cardinality index out of bounds
+        # cardinality index out of bounds, a short tuple leave a vertex unread
         bn = coin_pair()
         ctx = EifContext.build(bn, 1)
         at = {"eif_exact": lambda v: eif_exact(bn, 1, v), "evaluate": ctx.evaluate}[entry]
-        message = rf"state {point[0]} of 'A' is not an integer in \[0, 2\)"
         with pytest.raises(GraphError, match=message):
             at(point)
 
@@ -965,16 +971,13 @@ class TestGFormulaPastDenseLabels:
         for graph in (bn.graph, reduce(bn.graph).output):
             labels = list(graph.vertices)
             treat = graph.treatment
-            factors = [(v, graph.parent_list(v)) for v in labels if v != treat]
-            # evaluate reads the factors in the formula's order
-            formula = [(fa.child, fa.parents) for fa in derive_gformula(graph).factors]
+            factors = [(fa.child, fa.parents) for fa in derive_gformula(graph).factors]
             counts = np.zeros([ds.card(v) for v in labels])
             np.add.at(counts, tuple(ds.column(v) for v in labels), 1.0)
             routes = _g_routes(bn, graph, ds)
             for route, call in routes.items():
                 table = counts if route == "plugin_g" else marginal(bn, labels)
-                order = formula if route == "evaluate" else factors
-                want = g_formula_dense(table, labels, order, treat, graph.outcome, 1)
+                want = g_formula_dense(table, labels, factors, treat, graph.outcome, 1)
                 got = _outcome(call)
                 if isinstance(want, float):
                     assert abs(got - want) <= 1e-12, (route, got, want)
@@ -985,6 +988,25 @@ class TestGFormulaPastDenseLabels:
                     error = EmptyCellError
                 assert type(got) is error, (route, got, want)
                 assert got.cell[0] == child and got.cell[1] in cells, (route, got.cell, want)
+
+    def test_routes_name_the_first_null_factor_in_topological_order(self):
+        # declared Y, M, O, A; topological order O, A, M, Y.  With P(A=1 |
+        # O=0) = 0, p(m | a, o) and p(y | a, m, o) both need a null event
+        # at O=0; every route names p(m | a, o), the first in that order,
+        # and the two exact routes are one computation
+        g = parse_graph(
+            "!treatment A\n!outcome Y\nY\nM\nO -> A\nO -> Y\nA -> Y\nA -> M\nM -> Y\nO -> M\n"
+        )
+        bn = _zero_treatment_row(random_law(g, {v: 2 for v in g.vertices}, seed=3, epsilon=0.02), (0,))
+        ds = sample(bn, 2000, 1)
+        got = {route: _outcome(call) for route, call in _g_routes(bn, g, ds).items()}
+        assert [type(exc) for exc in got.values()] == [PositivityError, PositivityError, EmptyCellError]
+        assert {exc.cell for exc in got.values()} == {("M", (0,))}
+        for seed in range(3):
+            bn = law_on("zoo", seed)
+            for graph in (bn.graph, reduce(bn.graph).output):
+                exact = [route() for route in _g_routes(bn, graph).values()]
+                assert exact[0] == exact[1], (seed, graph.vertices)
 
     def test_forms_no_table_past_the_dense_limit(self, monkeypatch):
         g = parse_graph(MEDIATED_WEB_TEXT)

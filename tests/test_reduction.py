@@ -186,6 +186,13 @@ class TestReduceProperties:
                 perm = list(rng.permutation(loop))
                 assert reduce(g, order=perm).output == base
 
+    def test_order_must_be_a_permutation(self):
+        g = golden("motivating")
+        loop = self._loop_vertices(g)
+        for order in (loop[:-1], loop + loop[:1], loop[:-1] + ["A"]):
+            with pytest.raises(GraphError, match="order must be a permutation"):
+                reduce(g, order=order)
+
     def test_idempotence(self, rng):
         for name in ("motivating", "mediator_chain", "covariate_web"):
             once = reduce(golden(name))
