@@ -49,7 +49,6 @@ from .bn import (
     joint_table,
     random_law,
     sample,
-    validate,
 )
 from .functionals import (
     EifContext,

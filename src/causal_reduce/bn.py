@@ -29,7 +29,6 @@ __all__ = [
     "ZeroConditioningEvent",
     "EnumerationLimitError",
     "ENUMERATION_LIMIT",
-    "validate",
     "joint_table",
     "cpt_factors",
     "contract",
@@ -94,9 +93,9 @@ def check_enumerable(cards: Iterable[int]) -> None:
 class DiscreteBn:
     """A Dag plus finite state spaces and conditional probability tables.
 
-    Construction checks each CPT's shape, then runs :func:`validate`: an
-    entry outside [0, 1] or a row that does not sum to 1 within 1e-12
-    raises :class:`NormalizationError`."""
+    Construction checks each CPT's shape, then its entries: one outside
+    [0, 1] or a row that does not sum to 1 within 1e-12 raises
+    :class:`NormalizationError`."""
 
     graph: Dag
     cards: dict[str, int]
@@ -131,8 +130,19 @@ class DiscreteBn:
             table = table.copy()
             table.setflags(write=False)
             norm[v] = table
+        for v, table in norm.items():
+            flat = table.reshape(-1, self.cards[v])
+            if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
+                raise NormalizationError(f"CPT for {v!r} has entries outside [0, 1]")
+            sums = flat.sum(axis=1)
+            bad = np.nonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)[0]
+            if bad.size:
+                idx = np.unravel_index(int(bad[0]), table.shape[:-1]) if table.ndim > 1 else ()
+                raise NormalizationError(
+                    f"CPT row for {v!r} at parent state {tuple(int(i) for i in idx)} "
+                    f"sums to {sums[bad[0]]:.12g}"
+                )
         object.__setattr__(self, "cpts", norm)
-        validate(self)
 
     def parent_order(self, v: str) -> tuple[str, ...]:
         return self._parents[v]
@@ -145,23 +155,6 @@ class DiscreteBn:
         cpts = dict(self.cpts)
         cpts[v] = np.asarray(table, dtype=float)
         return DiscreteBn(self.graph, self.cards, cpts)
-
-
-def validate(bn: DiscreteBn) -> None:
-    """Check that every CPT entry lies in [0, 1] and every row sums to 1."""
-    for v in bn.graph.vertices:
-        table = bn.cpts[v]
-        flat = table.reshape(-1, bn.cards[v])
-        if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
-            raise NormalizationError(f"CPT for {v!r} has entries outside [0, 1]")
-        sums = flat.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)[0]
-        if bad.size:
-            idx = np.unravel_index(int(bad[0]), table.shape[:-1]) if table.ndim > 1 else ()
-            raise NormalizationError(
-                f"CPT row for {v!r} at parent state {tuple(int(i) for i in idx)} "
-                f"sums to {sums[bad[0]]:.12g}"
-            )
 
 
 # -- exact factor contraction -------------------------------------------------

@@ -35,11 +35,25 @@ class Factor:
 class GFormula:
     """Summation variables plus factors of the truncated factorization.
 
-    ``outcome`` names the variable whose value is averaged."""
+    ``outcome`` names the variable whose value is averaged.  Construction
+    raises :class:`~causal_reduce.graph.GraphError` unless the outcome is
+    summed, each summation variable is the child of exactly one factor, and
+    at most one parent label is not summed."""
 
     outcome: str
     sum_vars: tuple[str, ...]
     factors: tuple[Factor, ...]
+
+    def __post_init__(self) -> None:
+        children = [fa.child for fa in self.factors]
+        if set(self.sum_vars) != set(children):
+            raise GraphError("formula must carry one factor per summation variable")
+        if len(set(children)) < len(children):
+            raise GraphError("formula carries two factors for one child")
+        if self.outcome not in self.sum_vars:
+            raise GraphError(f"outcome {self.outcome!r} must be a summation variable")
+        if len(_treatment_labels(self)) > 1:
+            raise GraphError("formula references more than one non-summed label")
 
 
 def derive_gformula(g: Dag) -> GFormula:
@@ -133,11 +147,7 @@ def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
     is :func:`~causal_reduce.functionals.g_functional_for_graph` on ``g``:
     the same value to the bit, or the same error with the same ``cell``.
     """
-    if set(f.sum_vars) != {fa.child for fa in f.factors}:
-        raise GraphError("formula must carry one factor per summation variable")
     treat_labels = _treatment_labels(f)
-    if len(treat_labels) > 1:
-        raise GraphError("formula references more than one non-summed label")
     treatment = treat_labels.pop() if treat_labels else bn.graph.treatment
     factors = [(fa.child, fa.parents) for fa in f.factors]
     return _g_formula_exact(bn, factors, treatment, f.outcome, a)

@@ -400,7 +400,9 @@ class EifContext:
 
     @cached_property
     def values(self) -> np.ndarray:
-        values = np.zeros(self.joint.shape)
+        shape = tuple(self.bn.cards[v] for v in self.graph.vertices)
+        check_enumerable(shape)
+        values = np.zeros(shape)
         for fam, diff in self.families:
             values += _broadcast_factor(self.graph.vertices, self.bn.cards, fam, diff)
         return values

@@ -69,21 +69,14 @@ def minimal_dseparator_within(
     g: Dag, x: Iterable[str], y: Iterable[str], c: Iterable[str]
 ) -> frozenset[str]:
     """Unique inclusion-minimal ``s <= c`` with ``x`` d-separated from
-    ``y | (c \\ s)`` given ``s``.
+    ``y | (c \\ s)`` given ``s``; requires ``d_separated(g, x, y, c)``.
 
-    Requires ``d_separated(g, x, y, c)``.  Uniqueness of the minimum (by the
-    intersection property of d-separation) makes greedy backward elimination
-    exact; candidates are dropped in reverse topological order for
-    determinism.
+    ``v`` in ``c`` is kept iff ``x`` is d-connected to ``y | {v}`` given
+    ``c \\ {v}``.  A vertex outside some valid ``s`` passes that test by weak
+    union, and by the intersection property, which d-separation has, all
+    vertices that pass can be dropped together.
     """
-    xs = frozenset(x)
-    ys = frozenset(y)
-    cs = frozenset(c)
+    xs, ys, cs = frozenset(x), frozenset(y), frozenset(c)
     if not d_separated(g, xs, ys, cs):
         raise GraphError("precondition failed: x and y are not d-separated by c")
-    s = set(cs)
-    for v in reversed(g.sort_topologically(cs)):
-        candidate = s - {v}
-        if d_separated(g, xs, ys | (cs - candidate), candidate):
-            s = candidate
-    return frozenset(s)
+    return frozenset(v for v in cs if not d_separated(g, xs, ys | {v}, cs - {v}))

@@ -174,13 +174,16 @@ class TestEvaluate:
         "formula, message",
         [
             (
-                GFormula("Y", ("Y",), (Factor("Y", ("A",)), Factor("O", ()))),
+                ("Y", ("Y",), (Factor("Y", ("A",)), Factor("O", ()))),
                 "one factor per summation variable",
             ),
-            (GFormula("Y", ("Y",), (Factor("Y", ("A", "O")),)), "more than one non-summed label"),
+            (("Y", ("Y",), (Factor("Y", ("A", "O")),)), "more than one non-summed label"),
+            (("Y", (), ()), "outcome 'Y' must be a summation variable"),
+            (("Y", ("Y",), ()), "one factor per summation variable"),
+            (("Y", ("Y",), (Factor("Y", ("A",)), Factor("Y", ()))), "two factors for one child"),
         ],
     )
     def test_malformed_formula_refused(self, formula, message):
-        bn = positivity_hole_law()
+        # refused where it is built, so neither evaluate nor render sees it
         with pytest.raises(GraphError, match=message):
-            evaluate(formula, bn, 1)
+            GFormula(*formula)

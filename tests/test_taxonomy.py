@@ -2,7 +2,8 @@
 
 import pytest
 
-from causal_reduce.graph import ancestors, d_separated, descendants, parse_graph
+from causal_reduce import taxonomy
+from causal_reduce.graph import GraphError, ancestors, d_separated, descendants, parse_graph
 from causal_reduce.taxonomy import (
     AssumptionViolation,
     classify,
@@ -104,16 +105,44 @@ class TestMinimalSeparator:
             minimal_dseparator_within(g, {"A"}, {"Y"}, set())
 
     def test_matches_subset_enumeration(self, rng):
+        # x, y and c are drawn independently, so c may overlap both sides
+        kinds = {"y empty": 0, "y given": 0, "c meets x": 0, "c meets y": 0}
         checked = 0
-        while checked < 60:
+        while checked < 150:
             n = int(rng.integers(3, 8))
             g = random_dag(rng, n, 0.4)
             labels = list(g.vertices)
-            rng.shuffle(labels)
-            x = {labels[0]}
-            c = set(labels[1 : 1 + int(rng.integers(0, n - 1))])
-            if not d_separated(g, x, set(), c):
+
+            def draw(lo: int, hi: int) -> set[str]:
+                k = int(rng.integers(lo, hi + 1))
+                return set(rng.choice(labels, size=k, replace=False).tolist())
+
+            x, y, c = draw(1, 2), draw(0, 2), draw(0, n)
+            if not d_separated(g, x, y, c):
+                with pytest.raises(GraphError, match="precondition"):
+                    minimal_dseparator_within(g, x, y, c)
                 continue
-            got = minimal_dseparator_within(g, x, set(), c)
-            assert got == minimal_separator_oracle(g, x, set(), c)
+            got = minimal_dseparator_within(g, x, y, c)
+            assert got == minimal_separator_oracle(g, x, y, c)
+            kinds["y given" if y else "y empty"] += 1
+            kinds["c meets x"] += bool(c & x)
+            kinds["c meets y"] += bool(c & y)
             checked += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_classify_tests_each_member_of_o_once(self, goldens, monkeypatch):
+        # one test of the precondition, then one per member of O
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return d_separated(*args)
+
+        monkeypatch.setattr(taxonomy, "d_separated", counting)
+        for name, g in goldens.items():
+            calls.clear()
+            try:
+                tax = classify(g)
+            except AssumptionViolation:
+                continue
+            assert len(calls) == 1 + len(tax.o), name
