@@ -8,7 +8,6 @@ from .graph import (
     GraphParseError,
     UnknownVertexError,
     ancestors,
-    children,
     d_separated,
     descendants,
     format_graph,
@@ -55,7 +54,6 @@ from .functionals import (
     EmptyCellError,
     adjustment_exact,
     adjustment_if_variance,
-    eif_exact,
     eif_variance,
     eif_variance_for_graph,
     eif_variance_terms,

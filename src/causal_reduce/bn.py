@@ -474,10 +474,11 @@ def dataset_to_csv(ds: Dataset, path: str) -> None:
         writer.writerows(ds.rows.tolist())
 
 
-def dataset_from_csv(path: str, cards: Mapping[str, int] | None = None) -> Dataset:
+def dataset_from_csv(path: str) -> Dataset:
     """A header of column labels, then one row of integer states per
     observation; blank lines are skipped.  A missing header, a header with
-    no rows, or a row that is ragged or not integer raises ``ValueError``."""
+    no rows, or a row that is ragged, not integer or past 64 bits raises
+    ``ValueError``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -488,9 +489,13 @@ def dataset_from_csv(path: str, cards: Mapping[str, int] | None = None) -> Datas
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, expected {len(header)}")
-                rows.append([int(x) for x in row])
+                states = [int(x) for x in row]
+                big = [x for x in states if not -(2**63) <= x < 2**63]
+                if big:
+                    raise ValueError(f"state {big[0]} does not fit in 64 bits")
+                rows.append(states)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: header but no data rows")
-    return Dataset(tuple(header), np.asarray(rows, dtype=np.int64), dict(cards or {}))
+    return Dataset(tuple(header), np.asarray(rows, dtype=np.int64))

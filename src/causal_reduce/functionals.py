@@ -43,7 +43,6 @@ __all__ = [
     "g_functional_for_graph",
     "adjustment_exact",
     "front_door_exact",
-    "eif_exact",
     "eif_variance",
     "eif_variance_for_graph",
     "eif_variance_terms",
@@ -257,7 +256,7 @@ def _g_formula(
 
 # Past this many cells of the law over the vertices a computation reads, the
 # exact layer contracts each family's table from the CPTs instead of summing
-# it from that law: the influence function's support U in _eif_families,
+# it from that law: the influence function's support U in EifContext.build,
 # a g-formula's labels in _g_formula_exact.  Dense cost grows with those
 # cells, contraction cost with the number of families.  Per eif_variance
 # call, on a 2-core x86 box (numpy 2.4): at 972 cells (7 vertices in U) dense
@@ -373,26 +372,92 @@ def _point(vertices: Sequence[str], cards: Mapping[str, int], v: Sequence[int]) 
     return {u: operator.index(s) for u, s in zip(vertices, v)}
 
 
+def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:
+    """The vertices the influence function depends on: A, Y, O, O_min and
+    every vertex of W and M with its parents."""
+    support = {graph.treatment, graph.outcome} | tax.o | tax.o_min
+    for v in tax.w | tax.m:
+        support |= graph.parents(v) | {v}
+    return support
+
+
 @dataclass(frozen=True, eq=False)
 class EifContext:
     """The efficient influence function at one treatment level under
-    ``graph``, held as :func:`_eif_families`' ``(fam, diff)`` pairs.
-    ``values`` and ``joint``, the function and the law with one axis per
-    vertex of ``graph`` in its order, are formed on first read."""
+    ``graph``, family by family: for each v in W and then in M, in
+    ``graph``'s vertex order, ``(v, fam, P, diff)`` with ``fam`` v's family
+    in the network's declaration order, ``P`` the law over it and ``diff``
+    = E[f | pa(v), v] - E[f | pa(v)] on its axes, f = b(O) = E[Y | A=a, O]
+    for v in W and f = T = 1{A=a}Y/P(A=a | O_min) for v in M.  The
+    influence function is the sum of the differences (Rotnitzky & Smucler
+    2020).  ``values`` and ``joint``, the function and the law with one
+    axis per vertex of ``graph`` in its order, are formed on first read."""
 
     bn: DiscreteBn = field(repr=False)
     graph: Dag
-    families: tuple[tuple[list[str], np.ndarray], ...] = field(repr=False)
+    families: tuple[tuple[str, list[str], np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @classmethod
     def build(cls, bn: DiscreteBn, a: int, graph: Dag | None = None) -> "EifContext":
-        """One pass of :func:`_eif_families`, so each of its errors raises here."""
+        """The one pass that forms the families, so each of the influence
+        function's errors raises here."""
         graph = graph or bn.graph
-        return cls(bn, graph, tuple((f, d) for _, f, _, d in _eif_families(bn, graph, a)))
+        tax = classify(graph)
+        treat, y = graph.treatment, graph.outcome
+        _check_level(bn.cards, treat, a)
+        # one law for b and rho: the dense law over the support U while it
+        # is small, which then also gives every family's table; else the
+        # law over O ∪ {A, Y}, with each family's table contracted from the
+        # CPTs
+        support = _eif_support(graph, tax)
+        dense = _dense(bn.cards, support)
+        labels, law = _law_over(bn, support if dense else tax.o | {treat, y})
+
+        # b(O) = E[Y | A=a, O] and rho(O_min) = P(A=a | O_min)
+        y_vals = _value_axis(labels, bn.cards, y)
+        o_a = tax.o | {treat}
+        b_arr = _ratio(_sum_to(law * y_vals, labels, o_a), _sum_to(law, labels, o_a))
+        b_arr = b_arr.take([a], axis=labels.index(treat))
+        ind_a = (_value_axis(labels, bn.cards, treat) == a).astype(float)
+        p_omin = _sum_to(law, labels, tax.o_min)
+        rho_arr = _ratio(_sum_to(law * ind_a, labels, tax.o_min), p_omin)
+        message = f"P({treat}={a} | O_min) = 0 on a positive-probability event"
+        _require(p_omin, rho_arr, PositivityError, message, _event(labels, tax.o_min, treat))
+        t_arr = _ratio(ind_a * y_vals, rho_arr)
+
+        # each family's table is [P, P·f], stacked on a leading axis
+        families = []
+        for f_arr, over, group in (
+            (b_arr, tax.o, tax.w), (t_arr, tax.o_min | {treat, y}, tax.m)
+        ):
+            members = [v for v in graph.vertices if v in group]
+            if not members:
+                continue
+            if dense:
+                stacked = np.array([law, law * f_arr])
+            else:
+                stack = max(bn.cards, key=len) + "'"  # longer than every vertex name
+                cards = {**bn.cards, stack: 2}
+                f_axes = tuple(v for v in labels if v in over)
+                f = f_arr.reshape([bn.cards[v] for v in f_axes])
+                f_factor = ((stack,) + f_axes, np.array([np.ones_like(f), f]))
+            for v in members:
+                keep = graph.parents(v) | {v}
+                fam = [u for u in bn.graph.vertices if u in keep]
+                if dense:
+                    drop = tuple(i + 1 for i, u in enumerate(labels) if u not in keep)
+                    p, pf = stacked.sum(axis=drop)
+                else:
+                    factors = cpt_factors(bn, keep | set(f_axes)) + [f_factor]
+                    p, pf = contract(factors, cards, [stack] + fam)
+                i = fam.index(v)
+                pa_mean = _ratio(pf.sum(axis=i, keepdims=True), p.sum(axis=i, keepdims=True))
+                families.append((v, fam, p, _ratio(pf, p) - pa_mean))
+        return cls(bn, graph, tuple(families))
 
     def evaluate(self, v: Sequence[int]) -> float:
         point = _point(self.graph.vertices, self.bn.cards, v)
-        return float(sum(diff[tuple(point[u] for u in fam)] for fam, diff in self.families))
+        return float(sum(diff[tuple(point[u] for u in fam)] for _, fam, _, diff in self.families))
 
     @cached_property
     def joint(self) -> np.ndarray:
@@ -403,95 +468,20 @@ class EifContext:
         shape = tuple(self.bn.cards[v] for v in self.graph.vertices)
         check_enumerable(shape)
         values = np.zeros(shape)
-        for fam, diff in self.families:
+        for _, fam, _, diff in self.families:
             values += _broadcast_factor(self.graph.vertices, self.bn.cards, fam, diff)
         return values
 
 
-def eif_exact(bn: DiscreteBn, a: int, v: Sequence[int]) -> float:
-    """Efficient influence function at one configuration ``v`` of the
-    network's vertices; meaningful at support points of the law."""
-    return EifContext.build(bn, a).evaluate(v)
-
-
-def _eif_support(graph: Dag, tax: Taxonomy) -> set[str]:
-    """The vertices the influence function depends on: A, Y, O, O_min and
-    every vertex of W and M with its parents."""
-    support = {graph.treatment, graph.outcome} | tax.o | tax.o_min
-    for v in tax.w | tax.m:
-        support |= graph.parents(v) | {v}
-    return support
-
-
-def _eif_families(
-    bn: DiscreteBn, graph: Dag, a: int
-) -> Iterator[tuple[str, list[str], np.ndarray, np.ndarray]]:
-    """The influence function under ``graph`` family by family: for each v
-    in W and then in M, in ``graph``'s vertex order, ``(v, fam, P, diff)``
-    with ``fam`` v's family in the network's declaration order, ``P`` the
-    law over it and ``diff`` = E[f | pa(v), v] - E[f | pa(v)] on its axes,
-    f = b(O) = E[Y | A=a, O] for v in W and f = T = 1{A=a}Y/P(A=a | O_min)
-    for v in M.  The influence function is the sum of the differences
-    (Rotnitzky & Smucler 2020)."""
-    tax = classify(graph)
-    treat, y = graph.treatment, graph.outcome
-    _check_level(bn.cards, treat, a)
-    # one law for b and rho: the dense law over the support U while it is
-    # small, which then also gives every family's table; else the law over
-    # O ∪ {A, Y}, with each family's table contracted from the CPTs
-    support = _eif_support(graph, tax)
-    dense = _dense(bn.cards, support)
-    labels, law = _law_over(bn, support if dense else tax.o | {treat, y})
-
-    # b(O) = E[Y | A=a, O] and rho(O_min) = P(A=a | O_min)
-    y_vals = _value_axis(labels, bn.cards, y)
-    o_a = tax.o | {treat}
-    b_arr = _ratio(_sum_to(law * y_vals, labels, o_a), _sum_to(law, labels, o_a))
-    b_arr = b_arr.take([a], axis=labels.index(treat))
-    ind_a = (_value_axis(labels, bn.cards, treat) == a).astype(float)
-    p_omin = _sum_to(law, labels, tax.o_min)
-    rho_arr = _ratio(_sum_to(law * ind_a, labels, tax.o_min), p_omin)
-    message = f"P({treat}={a} | O_min) = 0 on a positive-probability event"
-    _require(p_omin, rho_arr, PositivityError, message, _event(labels, tax.o_min, treat))
-    t_arr = _ratio(ind_a * y_vals, rho_arr)
-
-    # each family's table is [P, P·f], stacked on a leading axis
-    for f_arr, over, group in (
-        (b_arr, tax.o, tax.w), (t_arr, tax.o_min | {treat, y}, tax.m)
-    ):
-        members = [v for v in graph.vertices if v in group]
-        if not members:
-            continue
-        if dense:
-            stacked = np.array([law, law * f_arr])
-        else:
-            stack = max(bn.cards, key=len) + "'"  # longer than every vertex name
-            cards = {**bn.cards, stack: 2}
-            f_axes = tuple(v for v in labels if v in over)
-            f = f_arr.reshape([bn.cards[v] for v in f_axes])
-            f_factor = ((stack,) + f_axes, np.array([np.ones_like(f), f]))
-        for v in members:
-            keep = graph.parents(v) | {v}
-            fam = [u for u in bn.graph.vertices if u in keep]
-            if dense:
-                drop = tuple(i + 1 for i, u in enumerate(labels) if u not in keep)
-                p, pf = stacked.sum(axis=drop)
-            else:
-                factors = cpt_factors(bn, keep | set(f_axes)) + [f_factor]
-                p, pf = contract(factors, cards, [stack] + fam)
-            i = fam.index(v)
-            pa_mean = _ratio(pf.sum(axis=i, keepdims=True), p.sum(axis=i, keepdims=True))
-            yield v, fam, p, _ratio(pf, p) - pa_mean
-
-
 def eif_variance_terms(bn: DiscreteBn, graph: Dag, a: int) -> dict[str, float]:
     """The per-vertex terms of the variance bound under ``graph``: for each
-    v in W and M, in ``graph``'s vertex order, E[term_v^2] with term_v the
-    difference :func:`_eif_families` gives for v.  Each term has mean zero
+    v in W and M, in ``graph``'s vertex order, E[term_v^2] = sum P·diff^2
+    over v's family in :meth:`EifContext.build`.  Each term has mean zero
     given v's non-descendants, so under a law Markov relative to ``graph``
     the terms are uncorrelated and their sum is the variance of the
     influence function.  An uninformative vertex's term need not be zero."""
-    terms = {v: float((p * diff * diff).sum()) for v, _, p, diff in _eif_families(bn, graph, a)}
+    families = EifContext.build(bn, a, graph).families
+    terms = {v: float((p * diff * diff).sum()) for v, _, p, diff in families}
     return {v: terms[v] for v in graph.vertices if v in terms}
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "ancestors",
     "descendants",
     "parents",
-    "children",
     "d_separated",
     "has_causal_path",
 ]
@@ -335,11 +334,6 @@ def descendants(g: Dag, s: Iterable[str]) -> frozenset[str]:
 def parents(g: Dag, s: Iterable[str]) -> frozenset[str]:
     """Union of parent sets of ``s`` (not reflexive)."""
     return frozenset().union(*map(g.parents, s))
-
-
-def children(g: Dag, s: Iterable[str]) -> frozenset[str]:
-    """Union of child sets of ``s`` (not reflexive)."""
-    return frozenset().union(*map(g.children, s))
 
 
 def d_separated(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bn import DiscreteBn, derive_seed, sample
+from .bn import DiscreteBn, check_enumerable, derive_seed, sample
 from .functionals import EmptyCellError, plugin_adjustment, plugin_g
 from .graph import Dag
 from .reduction import reduce
@@ -39,7 +39,8 @@ ESTIMATORS = ("adjustment", "g_plugin_full", "g_plugin_reduced")
 @dataclass(frozen=True)
 class SimConfig:
     """Design knobs: setting label, covariate cardinalities m and k, sample
-    size, replication count and master seed."""
+    size, replication count and master seed.  A design whose mixing table
+    over (W2, W3, W4), m * m * k cells, is past the guard is refused."""
 
     setting: str
     m: int
@@ -61,6 +62,7 @@ class SimConfig:
             )
         if self.n < 1 or self.replications < 1:
             raise ValueError("n and replications must be >= 1")
+        check_enumerable((self.m, self.m, self.k))
 
 
 DEFAULTS = {"a": dict(m=5, k=50), "b": dict(m=50, k=10)}

@@ -429,14 +429,15 @@ def eif_dense(bn, a: int, graph: Dag):
     """The influence function under ``graph`` and the law, each with one
     axis per vertex of ``graph`` in its order, formed densely before any
     point is read: the network's marginal over ``graph.vertices``, and each
-    difference of ``functionals._eif_families`` broadcast over it and added
-    onto zeros, in family order.  Returns ``(values, joint)``."""
+    difference of ``EifContext.build(bn, a, graph).families`` broadcast
+    over it and added onto zeros, in family order.  Returns
+    ``(values, joint)``."""
     from causal_reduce.bn import _broadcast_factor, marginal
-    from causal_reduce.functionals import _eif_families
+    from causal_reduce.functionals import EifContext
 
     joint = marginal(bn, graph.vertices)
     values = np.zeros(joint.shape)
-    for _, fam, _, diff in _eif_families(bn, graph, a):
+    for _, fam, _, diff in EifContext.build(bn, a, graph).families:
         values += _broadcast_factor(graph.vertices, bn.cards, fam, diff)
     return values, joint
 

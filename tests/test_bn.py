@@ -285,10 +285,15 @@ class TestSerialization:
         ds = sample(bn, 100, seed=1)
         path = tmp_path / "data.csv"
         dataset_to_csv(ds, str(path))
-        back = dataset_from_csv(str(path), cards=dict(bn.cards))
+        back = dataset_from_csv(str(path))
         assert back.columns == ds.columns
         assert np.array_equal(back.rows, ds.rows)
 
     def test_dataset_validates_cards(self):
         with pytest.raises(ValueError):
             Dataset(("A",), np.array([[3]]), {"A": 2})
+
+    @pytest.mark.parametrize("rows", [np.zeros((3, 1)), np.zeros(2)], ids=["width", "ndim"])
+    def test_dataset_rejects_rows_of_the_wrong_shape(self, rows):
+        with pytest.raises(ValueError, match=r"rows must be an \(n, len\(columns\)\) integer array"):
+            Dataset(("A", "B"), rows)

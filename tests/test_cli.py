@@ -548,6 +548,18 @@ class TestDataInput:
         assert code == 2 and out == ""
         assert "line 4" in err and "invalid literal for int()" in err
 
+    @pytest.mark.parametrize("state", ["99999999999999999999", "-99999999999999999999"])
+    def test_state_past_64_bits_rejected_with_line(self, capsys, tmp_path, state):
+        text = f"O,A,Y\n0,1,1\n1,{state},0\n"
+        code, out, err = estimate_on_csv(capsys, tmp_path, text, "g")
+        assert code == 2 and out == ""
+        assert "line 3" in err and f"state {state} does not fit in 64 bits" in err
+
+    def test_missing_graph_column_rejected(self, capsys, tmp_path):
+        code, out, err = estimate_on_csv(capsys, tmp_path, "A,Y\n0,1\n1,0\n", "g")
+        assert code == 2 and out == ""
+        assert "dataset has no column 'O'" in err
+
 
 class TestSimulate:
     def test_small_run_json(self, capsys, tmp_path):
@@ -573,3 +585,9 @@ class TestSimulate:
         assert payload["m"] == 5 and payload["k"] == 50
         assert len(payload["rows"]) == 3
         assert payload["skipped_replications"] == 0 and payload["skips"] == []
+
+    @pytest.mark.parametrize("flag", ["--n", "--reps"])
+    def test_no_samples_or_replications_rejected(self, capsys, flag):
+        code, out, err = run(capsys, ["simulate", flag, "0"])
+        assert code == 2 and out == ""
+        assert "n and replications must be >= 1" in err

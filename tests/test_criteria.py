@@ -1,8 +1,11 @@
 """W- and M-criterion verdicts and the informative set."""
 
+import numpy as np
 import pytest
 
+from causal_reduce.bn import random_law
 from causal_reduce.criteria import informative_set, m_criterion, w_criterion
+from causal_reduce.functionals import EifContext
 from causal_reduce.graph import parse_graph
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import classify
@@ -108,6 +111,27 @@ class TestInformativeSet:
         for _ in range(25):
             g = random_dag(rng, int(rng.integers(3, 9)), 0.4, ensure_assumption=True)
             assert set(reduce(g).output.vertices) == informative_set(g)
+
+    def test_informative_exactly_where_the_influence_function_moves(self):
+        # soundness: the influence function is flat along every vertex the
+        # criteria remove; completeness: it moves along every kept vertex
+        # other than A and Y on at least one of a few random laws
+        rng = np.random.default_rng(404)
+        for _ in range(300):
+            g = random_dag(rng, int(rng.integers(5, 10)), 0.4, ensure_assumption=True)
+            kept = informative_set(g)
+            spread = dict.fromkeys(g.vertices, 0.0)
+            for _ in range(3):
+                cards = {v: int(rng.integers(2, 4)) for v in g.vertices}
+                bn = random_law(g, cards, seed=int(rng.integers(2**32)), epsilon=0.02)
+                values = EifContext.build(bn, 1).values
+                for i, v in enumerate(g.vertices):
+                    spread[v] = max(spread[v], float(np.ptp(values, axis=i).max()))
+            for v in g.vertices:
+                if v not in kept:
+                    assert spread[v] <= 1e-9, (g, v)
+                elif v not in (g.treatment, g.outcome):
+                    assert spread[v] > 1e-6, (g, v)
 
 
 class TestOrderInvariance:

@@ -25,7 +25,6 @@ from causal_reduce.functionals import (
     EmptyCellError,
     adjustment_exact,
     adjustment_if_variance,
-    eif_exact,
     eif_variance,
     eif_variance_for_graph,
     eif_variance_terms,
@@ -278,8 +277,9 @@ class TestFrontDoor:
 class TestEif:
     def test_trivial_point_value(self):
         bn = coin_pair()
-        assert eif_exact(bn, 1, (1, 1)) == pytest.approx(1.0)
-        assert eif_exact(bn, 1, (0, 1)) == pytest.approx(0.0)
+        ctx = EifContext.build(bn, 1)
+        assert ctx.evaluate((1, 1)) == pytest.approx(1.0)
+        assert ctx.evaluate((0, 1)) == pytest.approx(0.0)
         assert eif_variance(bn, 1) == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
@@ -290,17 +290,14 @@ class TestEif:
             ((2, 1), r"state 2 of 'A' is not an integer in \[0, 2\)"),
             ((1,), "state tuple length does not match the vertex count"),
         ],
-        ids=["negative", "fraction", "past_card", "short"],
+        ids=["evaluate-negative", "evaluate-fraction", "evaluate-past_card", "evaluate-short"],
     )
-    @pytest.mark.parametrize("entry", ["eif_exact", "evaluate"])
-    def test_rejects_a_state_out_of_range(self, entry, point, message):
+    def test_rejects_a_state_out_of_range(self, point, message):
         # a negative state would wrap, a fraction truncate, a state past the
         # cardinality index out of bounds, a short tuple leave a vertex unread
-        bn = coin_pair()
-        ctx = EifContext.build(bn, 1)
-        at = {"eif_exact": lambda v: eif_exact(bn, 1, v), "evaluate": ctx.evaluate}[entry]
+        ctx = EifContext.build(coin_pair(), 1)
         with pytest.raises(GraphError, match=message):
-            at(point)
+            ctx.evaluate(point)
 
     def test_mean_zero_across_laws(self):
         for name in ("motivating", "mediator_chain", "mediator_plain"):
@@ -383,7 +380,6 @@ class TestEif:
                 want = eif_loop(bn, 1, point)
                 states = [point[v] for v in g.vertices]
                 assert ctx.evaluate(states) == pytest.approx(want, abs=1e-10)
-                assert eif_exact(bn, 1, states) == pytest.approx(want, abs=1e-10)
 
     def test_bound_below_adjustment_variance(self):
         from causal_reduce.simulate import SimConfig, build_benchmark_dgp
@@ -658,7 +654,7 @@ def test_exact_routes_agree_or_raise(name, seed, zero_rows):
         assert type(got) is type(dense) and got.cell == dense.cell
     # the influence function at a point reads the same family tables
     zeros = [0] * len(g.vertices)
-    at = _outcome(lambda: eif_exact(bn, 1, zeros))
+    at = _outcome(lambda: EifContext.build(bn, 1).evaluate(zeros))
     if isinstance(got, float):
         want = dense.evaluate(zeros)
         assert abs(at - want) <= 1e-12 * max(1.0, abs(want))
@@ -714,7 +710,6 @@ LEVEL_ROUTES = {
     "adjustment_exact": lambda bn, red, a: adjustment_exact(bn, {"O"}, a),
     "front_door_exact": lambda bn, red, a: front_door_exact(bn, {"M"}, a),
     "EifContext.build": lambda bn, red, a: EifContext.build(bn, a),
-    "eif_exact": lambda bn, red, a: eif_exact(bn, a, (0, 0, 0, 0)),
     "eif_variance": lambda bn, red, a: eif_variance(bn, a),
     "eif_variance_for_graph": lambda bn, red, a: eif_variance_for_graph(bn, red, a),
     "adjustment_if_variance": lambda bn, red, a: adjustment_if_variance(bn, {"O"}, a),
@@ -773,14 +768,11 @@ class TestChainPastDenseJoint:
         red = reduce(bn.graph).output
         full, ctx = EifContext.build(bn, 1), EifContext.build(bn, 1, red)
         rng = np.random.default_rng(7)
-        for i in range(20):
+        for _ in range(20):
             point = dict(zip(bn.graph.vertices, rng.integers(2, size=60).tolist()))
             want = ctx.evaluate([point[v] for v in red.vertices])
             got = full.evaluate(list(point.values()))
             assert abs(got - want) <= 1e-12
-            if i == 0:
-                at = eif_exact(bn, 1, list(point.values()))
-                assert at == got and abs(at - want) <= 1e-12
 
     def test_dense_views_past_the_limit_raise_on_first_read(self):
         # 2**60 cells: the context and its points answer, its dense views
@@ -887,7 +879,7 @@ class TestVarianceTerms:
             assert got.value.cell == dense.value.cell
         assert cells == [("W13", (0,)), ("O1", (0,))]
 
-    @pytest.mark.parametrize("route", ["eif_variance", "eif_exact", "EifContext.evaluate"])
+    @pytest.mark.parametrize("route", ["eif_variance", "EifContext.evaluate"])
     def test_forms_no_table_past_the_dense_limit(self, monkeypatch, route):
         g = parse_graph(MEDIATED_WEB_TEXT)
         tax = classify(g)
@@ -896,8 +888,6 @@ class TestVarianceTerms:
         asked = _table_sizes(monkeypatch)
         if route == "eif_variance":
             assert eif_variance(bn, 1) > 0.0
-        elif route == "eif_exact":
-            assert np.isfinite(eif_exact(bn, 1, [0] * 13))
         else:
             assert np.isfinite(EifContext.build(bn, 1).evaluate([0] * 13))
         assert asked and max(asked) <= 2**14

@@ -18,7 +18,6 @@ from causal_reduce.graph import (
     GraphParseError,
     UnknownVertexError,
     ancestors,
-    children,
     d_separated,
     descendants,
     format_graph,
@@ -199,11 +198,16 @@ class TestRelations:
     def test_parents_children_not_reflexive(self):
         g = golden("motivating")
         assert parents(g, {"W4"}) == {"W2", "W3"}
-        assert children(g, {"W4"}) == {"I1", "O1"}
+        assert g.children("W4") == {"I1", "O1"}
 
     def test_unknown_label(self):
         with pytest.raises(GraphError):
             ancestors(golden("trivial"), {"Q"})
+
+    @pytest.mark.parametrize("query", ["parents", "children", "parent_list", "topo_index"])
+    def test_unknown_label_in_a_vertex_query(self, query):
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'Q'"):
+            getattr(golden("trivial"), query)("Q")
 
     def test_reflexive_transitive_monotone(self, rng):
         for _ in range(20):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from causal_reduce.bn import derive_seed, sample
+from causal_reduce.bn import EnumerationLimitError, derive_seed, sample
 from causal_reduce.functionals import EmptyCellError, plugin_adjustment, plugin_g
 from causal_reduce.reduction import reduce
 from causal_reduce.simulate import (
@@ -38,6 +38,14 @@ class TestConfig:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             SimConfig("a", 1, 50, 100, 10, 0)
+
+    @pytest.mark.parametrize("m, k", [(20_000, 50), (450, 50)])
+    def test_rejects_a_mixing_table_past_the_guard(self, m, k):
+        # the (W2, W3, W4) table of m * m * k cells is refused before
+        # build_benchmark_dgp would allocate it
+        with pytest.raises(EnumerationLimitError):
+            SimConfig("a", m, k, 100, 10, 0)
+        SimConfig("a", 1000, 10, 100, 10, 0)  # 10**7 cells: at the guard
 
 
 class TestDgp:
@@ -132,6 +140,10 @@ class TestRun:
         cfg = small_cfg(n=20, replications=2)
         with pytest.raises(EmptyCellError):
             run_simulation(cfg, on_empty="skip")
+
+    def test_rejects_an_unknown_on_empty(self):
+        with pytest.raises(ValueError, match="on_empty must be 'error' or 'skip'"):
+            run_simulation(small_cfg(), on_empty="ignore")
 
     def test_keep_estimates(self):
         table = run_simulation(small_cfg(), keep_estimates=True)
