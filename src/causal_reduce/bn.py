@@ -28,15 +28,10 @@ __all__ = [
     "PositivityError",
     "ZeroConditioningEvent",
     "EnumerationLimitError",
-    "ENUMERATION_LIMIT",
     "joint_table",
-    "cpt_factors",
-    "contract",
-    "marginal",
     "random_law",
     "sample",
     "derive_seed",
-    "graph_to_json",
     "bn_to_json",
     "bn_from_json",
     "dataset_to_csv",
@@ -459,7 +454,11 @@ def bn_from_json(payload: dict) -> DiscreteBn:
 
 def load_bn(path: str) -> DiscreteBn:
     with open(path, "r", encoding="utf-8") as fh:
-        return bn_from_json(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise GraphError(f"{path}: network JSON is nested too deeply") from None
+    return bn_from_json(payload)
 
 
 def save_bn(bn: DiscreteBn, path: str) -> None:
@@ -477,16 +476,14 @@ def dataset_to_csv(ds: Dataset, path: str) -> None:
 def dataset_from_csv(path: str) -> Dataset:
     """A header of column labels, then one row of integer states per
     observation; blank lines are skipped.  A missing header, a header with
-    no rows, or a row that is ragged, not integer or past 64 bits raises
-    ``ValueError``."""
+    no rows, or a line that is ragged, not integer, past 64 bits or not
+    readable as CSV raises ``ValueError``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: no header line")
         rows = []
-        for row in (r for r in reader if r):
-            try:
+        try:
+            header = next(reader, None)
+            for row in (r for r in reader if r) if header else ():
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, expected {len(header)}")
                 states = [int(x) for x in row]
@@ -494,8 +491,12 @@ def dataset_from_csv(path: str) -> Dataset:
                 if big:
                     raise ValueError(f"state {big[0]} does not fit in 64 bits")
                 rows.append(states)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # decoded a chunk at a time: no line to name
+            raise
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not header:
+        raise ValueError(f"{path}: no header line")
     if not rows:
         raise ValueError(f"{path}: header but no data rows")
     return Dataset(tuple(header), np.asarray(rows, dtype=np.int64))

@@ -52,15 +52,7 @@ def _ordered_members(g: Dag, members) -> list[str]:
 def _cmd_taxonomy(args) -> int:
     g = _read_graph(args.graph)
     tax = classify(g)
-    sets = {
-        "N": tax.n,
-        "I": tax.i,
-        "W": tax.w,
-        "M": tax.m,
-        "O": tax.o,
-        "O_min": tax.o_min,
-    }
-    _emit({k: _ordered_members(g, sets[k]) for k in _ORDERED}, args.json)
+    _emit({k: _ordered_members(g, getattr(tax, k.lower())) for k in _ORDERED}, args.json)
     return 0
 
 

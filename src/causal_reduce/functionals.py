@@ -128,29 +128,23 @@ def _check_level(cards: Mapping[str, int], treat: str, a: int) -> None:
         raise GraphError(f"treatment level {a} out of range")
 
 
-def _adjustment_set(g: Dag, L: Iterable[str]) -> set[str]:
-    """``L`` as a set, checked to hold no descendant of the treatment, so
-    neither the treatment nor the outcome."""
-    Ls = _as_set(g, L)
-    held = Ls & descendants(g, {g.treatment})
-    bad = [v for v in g.vertices if v in held]
-    if bad:
-        raise GraphError(
-            f"adjustment set may not hold {', '.join(bad)}: descendants of "
-            f"treatment {g.treatment!r}, itself and the outcome included"
-        )
-    return Ls
-
-
 def _adjustment_graph(g: Dag, L: Iterable[str]) -> Dag:
     """G_L, the graph whose g-formula is the adjustment formula over ``L``:
     its vertices are ``L`` and the treatment and outcome, in ``g``'s order;
     ``L`` is complete in that order, each of its vertices is a parent of the
     treatment and of the outcome, and the treatment is a parent of the
     outcome.  G_L is complete, so every law is Markov relative to it.
-    ``L`` holds no descendant of the treatment."""
-    Ls = _adjustment_set(g, L)
+    ``L`` holds no descendant of the treatment, so neither the treatment
+    nor the outcome."""
+    Ls = _as_set(g, L)
     treat, y = g.treatment, g.outcome
+    held = Ls & descendants(g, {treat})
+    bad = [v for v in g.vertices if v in held]
+    if bad:
+        raise GraphError(
+            f"adjustment set may not hold {', '.join(bad)}: descendants of "
+            f"treatment {treat!r}, itself and the outcome included"
+        )
     order = [v for v in g.vertices if v in Ls]
     edges = [(u, v) for i, u in enumerate(order) for v in order[i + 1 :] + [treat, y]]
     vertices = [v for v in g.vertices if v in Ls or v in (treat, y)]
@@ -201,17 +195,19 @@ def _factors(g: Dag) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def _g_formula(
-    law: Callable[[list[str]], np.ndarray], labels: Sequence[str], cards: Mapping[str, int],
-    factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int,
+    table: Callable[[Sequence[str]], np.ndarray], labels: Sequence[str],
+    cards: Mapping[str, int], factors: Sequence[tuple[str, Sequence[str]]],
+    treat: str, y: str, a: int, add: float = 0.0,
 ) -> float:
     """A truncated factorization, one ``(child, parents)`` factor per summed
     vertex, with the treatment fixed at ``a`` where it is a parent; a
     graph's factors come from :func:`_factors`, in topological order.  Each
-    conditional is read from ``law(family)``: a law, or counts, over the
-    factor's family, its axes in ``labels`` order (the other labels' axes
-    may be kept as size 1).  The conditionals are contracted with Y's values
-    down to a scalar, so no table wider than the contraction needs is
-    formed.
+    conditional is read from a law, or counts, over the factor's family, its
+    axes in ``labels`` order: ``table(labels)`` summed down to the family
+    while that is dense (:func:`_dense`), and ``table(family)`` past that;
+    ``add`` is added to each family's table after summing.  The
+    conditionals are contracted with Y's values down to a scalar, so no
+    table wider than the contraction needs is formed.
 
     A needed conditional on a zero-probability event raises: with the
     treatment among its parents it is a :class:`PositivityError`, otherwise
@@ -221,13 +217,15 @@ def _g_formula(
     ``factors`` order, and of that factor's needed cells the first in C
     order over those parents taken in ``labels`` order.
     """
+    whole = table(labels) if _dense(cards, labels) else None
     _check_level(cards, treat, a)
     for child, parents in factors:  # a family past the guard raises before any table
         check_enumerable(cards[v] for v in (child, *parents))
     conds, undefined = [], []
     for child, parents in factors:
         fam = [v for v in labels if v == child or v in parents]
-        num = law(fam).reshape([cards[v] for v in fam])
+        num = table(fam) if whole is None else _sum_to(whole, labels, fam)
+        num = (num + add).reshape([cards[v] for v in fam])
         if treat in parents:
             num = num.take(a, axis=fam.index(treat))
             fam.remove(treat)
@@ -257,7 +255,7 @@ def _g_formula(
 # Past this many cells of the law over the vertices a computation reads, the
 # exact layer contracts each family's table from the CPTs instead of summing
 # it from that law: the influence function's support U in EifContext.build,
-# a g-formula's labels in _g_formula_exact.  Dense cost grows with those
+# a g-formula's labels in _g_formula.  Dense cost grows with those
 # cells, contraction cost with the number of families.  Per eif_variance
 # call, on a 2-core x86 box (numpy 2.4): at 972 cells (7 vertices in U) dense
 # took 0.50-0.70 ms and contraction 0.98-1.43 ms; at 59 049 cells (10
@@ -276,29 +274,14 @@ def _dense(cards: Mapping[str, int], vertices: Iterable[str]) -> bool:
     return math.prod(cards[v] for v in vertices) <= _DENSE_CELLS
 
 
-def _family_tables(
-    cards: Mapping[str, int], labels: Sequence[str],
-    table: Callable[[Sequence[str]], np.ndarray], add: float = 0.0,
-) -> Callable[[list[str]], np.ndarray]:
-    """The ``law`` of :func:`_g_formula`: ``table(labels)``, a law or counts
-    over the formula's labels, summed down to each family while it is dense,
-    and ``table(family)`` on its own past that; ``add`` is added to each
-    family's table after summing."""
-    if _dense(cards, labels):
-        whole = table(labels)
-        return lambda fam: _sum_to(whole, labels, fam) + add
-    return lambda fam: table(fam) + add
-
-
 def _g_formula_exact(
     bn: DiscreteBn, factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int
 ) -> float:
-    """:func:`_g_formula` read from the law of ``bn``: each family's table is
-    summed from the law over the formula's labels while that is dense, and
-    otherwise contracted from the CPTs on its own."""
+    """:func:`_g_formula` with ``table`` the law of ``bn``: each family's
+    table is summed from the law over the formula's labels while that is
+    dense, and otherwise contracted from the CPTs on its own."""
     labels = _labels(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
-    law = _family_tables(bn.cards, labels, partial(marginal, bn))
-    return _g_formula(law, labels, bn.cards, factors, treat, y, a)
+    return _g_formula(partial(marginal, bn), labels, bn.cards, factors, treat, y, a)
 
 
 def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
@@ -547,27 +530,30 @@ def _empty_cells() -> Iterator[None]:
 def plugin_g(dataset: Dataset, g: Dag, a: int, laplace: float | None = None) -> float:
     """Maximum-likelihood plugin of the g-formula under ``g``.
 
-    The g-formula kernel with each conditional read from the counts of its
-    family's columns, summed from one count table over ``g``'s columns while
-    that has at most 2**14 cells and counted on its own past that, and the
-    conditionals contracted together, so no table is wider than the
-    contraction needs: a full graph of many covariates (a 26-vertex binary
-    chain: 2**26 cells, families of at most 8) gives its plugin, which
-    equals the reduced graph's.
+    :func:`_g_formula` with ``table`` the counts of the dataset's columns:
+    each conditional is read from the counts of its family's columns,
+    summed from one count table over ``g``'s columns while that has at most
+    2**14 cells and counted on its own past that, and the conditionals are
+    contracted together, so no table is wider than the contraction needs: a
+    full graph of many covariates (a 26-vertex binary chain: 2**26 cells,
+    families of at most 8) gives its plugin, which equals the reduced
+    graph's.
 
     A conditioning cell that carries positive weight but was never observed
     raises :class:`EmptyCellError`, whose ``cell`` is the exact routes'
     cell: the child with the states of its other parents.  Pass ``laplace``
-    to add it to every family count instead (explicit opt-in); it must be
-    finite and at least 0, and 0 adds nothing.
+    to add it to every family count instead (the kernel's ``add``, an
+    explicit opt-in); it must be finite and at least 0, and 0 adds nothing.
     """
     if laplace is not None and not 0.0 <= laplace < np.inf:
         raise ValueError(f"laplace must be finite and >= 0, got {laplace}")
     labels = list(g.vertices)
     cards = _data_cards(dataset, labels, g.treatment, a)
-    law = _family_tables(cards, labels, partial(_counts, dataset, cards=cards), laplace or 0.0)
+    counts = partial(_counts, dataset, cards=cards)
     with _empty_cells():
-        return _g_formula(law, labels, cards, _factors(g), g.treatment, g.outcome, a)
+        return _g_formula(
+            counts, labels, cards, _factors(g), g.treatment, g.outcome, a, laplace or 0.0
+        )
 
 
 def plugin_adjustment(dataset: Dataset, g: Dag, L: Iterable[str], a: int) -> float:

@@ -13,11 +13,11 @@ mixing covariate), and the adjustment estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bn import DiscreteBn, check_enumerable, derive_seed, sample
+from .bn import ENUMERATION_LIMIT, DiscreteBn, EnumerationLimitError, derive_seed, sample
 from .functionals import EmptyCellError, plugin_adjustment, plugin_g
 from .graph import Dag
 from .reduction import reduce
@@ -27,10 +27,8 @@ __all__ = [
     "SimRow",
     "SimTable",
     "SkippedReplication",
-    "ESTIMATORS",
     "build_benchmark_dgp",
     "run_simulation",
-    "sim_table_to_dict",
 ]
 
 ESTIMATORS = ("adjustment", "g_plugin_full", "g_plugin_reduced")
@@ -54,15 +52,16 @@ class SimConfig:
             raise ValueError("setting must be 'a' or 'b'")
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        if self.k < 5:
-            raise ValueError("k must be >= 5 (states 0..4 are reserved)")
-        if self.k == 5:
-            raise ValueError(
-                "k must exceed 5: the non-special mixture needs support"
-            )
+        if self.k <= 5:
+            raise ValueError("k must exceed 5: the mixture needs states beyond the reserved 0..4")
         if self.n < 1 or self.replications < 1:
             raise ValueError("n and replications must be >= 1")
-        check_enumerable((self.m, self.m, self.k))
+        cells = self.m * self.m * self.k
+        if cells > ENUMERATION_LIMIT:
+            raise EnumerationLimitError(
+                f"a design with m={self.m}, k={self.k} needs a (W2, W3, W4) mixing table of "
+                f"m*m*k = {cells} cells, past the limit of {ENUMERATION_LIMIT}: lower --m or --k"
+            )
 
 
 DEFAULTS = {"a": dict(m=5, k=50), "b": dict(m=50, k=10)}
@@ -134,10 +133,7 @@ def build_benchmark_dgp(cfg: SimConfig) -> DiscreteBn:
     q = np.where(special, 0.0, ramp)
     q = q / q.sum()
     unif5 = np.where(special, 0.2, 0.0)
-    w4 = np.empty((m, m, k))
-    for w2 in range(m):
-        for w3 in range(m):
-            w4[w2, w3] = unif5 if w2 == w3 else q
+    w4 = np.where(np.eye(m, dtype=bool)[:, :, None], unif5, q)
 
     o1 = np.empty((k, 2))
     o1[:, 1] = np.where(special, 0.99, 0.01)
@@ -147,12 +143,9 @@ def build_benchmark_dgp(cfg: SimConfig) -> DiscreteBn:
     a[:, 1] = _logistic((np.arange(k) + 1.0) / 5.0 - 2.0)
     a[:, 0] = 1.0 - a[:, 1]
 
-    y = np.empty((2, 2, 2))  # axes: O1, A, Y
-    for o in range(2):
-        for lvl in range(2):
-            p1 = _logistic((o - 0.5) * (9 * lvl + 5))
-            y[o, lvl, 1] = p1
-            y[o, lvl, 0] = 1.0 - p1
+    o, lvl = np.ogrid[0:2, 0:2]
+    p1 = _logistic((o - 0.5) * (9 * lvl + 5))
+    y = np.stack([1.0 - p1, p1], axis=-1)  # axes: O1, A, Y
 
     cpts = {"W2": uniform_m, "W3": uniform_m, "W4": w4, "O1": o1, "A": a, "Y": y}
     return DiscreteBn(g, cards, cpts)
@@ -243,13 +236,5 @@ def sim_table_to_dict(cfg: SimConfig, table: SimTable) -> dict:
             for skip in table.skips
         ],
         "seed": cfg.seed,
-        "rows": [
-            {
-                "n": row.n,
-                "estimator": row.estimator,
-                "n_times_variance": row.n_times_variance,
-                "monte_carlo_se": row.monte_carlo_se,
-            }
-            for row in table.rows
-        ],
+        "rows": [asdict(row) for row in table.rows],
     }

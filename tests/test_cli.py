@@ -240,6 +240,32 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            # past the JSON parser's recursion limit and the csv module's
+            # field limit (131 072 characters)
+            ("net.json", '{"graph": ' + "[" * 5000 + "]" * 5000 + "}",
+             "net.json: network JSON is nested too deeply"),
+            ("d.csv", f"O,A,{'Y' * 200_000}\n0,1,1\n",
+             "d.csv, line 1: field larger than field limit"),
+            ("d.csv", f"O,A,Y\n0,1,1\n1,0,{'1' * 200_000}\n",
+             "d.csv, line 3: field larger than field limit"),
+        ],
+        ids=["deep-network-json", "csv-header-field", "csv-row-field"],
+    )
+    def test_input_past_a_parser_limit_is_input_error(self, capsys, tmp_path, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["estimate", "--bn", str(path)]
+        if name.endswith(".csv"):
+            graph_path = tmp_path / "confounded.graph"
+            graph_path.write_text(CONFOUNDED_TEXT)
+            argv = ["estimate", "--data", str(path), "--graph", str(graph_path)]
+        code, out, err = run(capsys, argv + ["--level", "1", "--estimator", "g"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and where in err and "Traceback" not in err
+
     def test_g_plugin_on_wide_data(self, capsys, tmp_path):
         # a 26-vertex binary chain: its labels hold 2**26 cells, its largest
         # family 8, and the full graph's plugin is the reduced graph's

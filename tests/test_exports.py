@@ -1,11 +1,14 @@
 """Every name a module lists in ``__all__`` exists in that module, so a stale
-entry fails here rather than at ``from causal_reduce.<module> import *``; and
+entry fails here rather than at ``from causal_reduce.<module> import *``; a
+module's ``__all__`` is what the package exports, so the package's public
+names are the union of those lists, each name listed once; and
 every module-level private name is read somewhere in the package, so a
 helper whose last caller went fails here rather than lingering."""
 
 import ast
 import importlib
 import pkgutil
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -25,6 +28,21 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"causal_reduce.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_exports_each_modules_all_once():
+    listed = Counter(
+        n
+        for name in MODULES
+        for n in getattr(importlib.import_module(f"causal_reduce.{name}"), "__all__", ())
+    )
+    assert [n for n in listed if not hasattr(causal_reduce, n)] == []
+    public = [
+        n
+        for n in dir(causal_reduce)
+        if not n.startswith("_") and not isinstance(getattr(causal_reduce, n), types.ModuleType)
+    ]
+    assert [n for n in public if listed[n] != 1] == []
 
 
 def _private_names_and_uses() -> tuple[dict[str, list[str]], Counter]:

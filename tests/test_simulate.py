@@ -43,7 +43,8 @@ class TestConfig:
     def test_rejects_a_mixing_table_past_the_guard(self, m, k):
         # the (W2, W3, W4) table of m * m * k cells is refused before
         # build_benchmark_dgp would allocate it
-        with pytest.raises(EnumerationLimitError):
+        cells = rf"m={m}, k={k} needs a \(W2, W3, W4\) mixing table of m\*m\*k = {m * m * k} cells"
+        with pytest.raises(EnumerationLimitError, match=cells):
             SimConfig("a", m, k, 100, 10, 0)
         SimConfig("a", 1000, 10, 100, 10, 0)  # 10**7 cells: at the guard
 
