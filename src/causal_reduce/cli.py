@@ -33,7 +33,11 @@ _ORDERED = ("N", "I", "W", "M", "O", "O_min")
 
 def _read_graph(path: str) -> Dag:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        text = fh.read()
+    try:
+        return parse_graph(text)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def _emit(payload, json_path: str | None) -> None:

@@ -28,6 +28,7 @@ from .bn import (
     PositivityError,
     ZeroConditioningEvent,
     _broadcast_factor,
+    _flat_index,
     check_enumerable,
     contract,
     cpt_factors,
@@ -499,10 +500,12 @@ def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
 
 def _counts(ds: Dataset, axes: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
     """The counts of the states of the ``axes`` columns of ``ds``, one axis
-    per column in that order; refused past the guard."""
+    per column in that order; refused past the guard.  The flat index needs
+    no bounds check: ``Dataset`` holds every state below its declared card,
+    and :func:`_data_cards` gives every other column a card of its max + 1."""
     shape = [cards[v] for v in axes]
     check_enumerable(shape)
-    flat = np.ravel_multi_index([ds.column(v) for v in axes], shape)
+    flat = _flat_index([ds.column(v) for v in axes], shape)
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 

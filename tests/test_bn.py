@@ -1,5 +1,7 @@
 """Discrete networks: validation, enumeration, generation, sampling, io."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,20 @@ class TestSampleStream:
         with pytest.raises(NormalizationError, match=r"parent state \(1,\) sums to 0.6"):
             DiscreteBn(g, {"A": 2, "Y": 3}, {"A": np.array([0.5, 0.5]), "Y": y})
 
+    @pytest.mark.parametrize("root, child", [(12, 3), (13, 4), (8, 9), (9, 8)])
+    def test_both_sides_of_the_count_limits(self, root, child):
+        # a root counts its cumulative entries up to 12 states and a vertex
+        # with parents up to 3; past those limits each bisects
+        g = Dag(("C", "A", "Y"), (("C", "A"), ("C", "Y"), ("A", "Y")), "A", "Y")
+        bn = random_law(g, {"C": root, "A": child, "Y": 2}, seed=root * child, epsilon=0.01)
+        assert_same_stream(bn, 20_000, (0, 1, 2))
+
+    def test_every_column_of_a_sample_is_contiguous(self):
+        g = golden("motivating_slim")
+        ds = sample(random_law(g, {v: 3 for v in g.vertices}, seed=1), 1000, seed=2)
+        assert ds.rows.dtype == np.int64 and ds.rows.shape == (1000, len(g.vertices))
+        assert all(ds.column(v).flags.c_contiguous for v in ds.columns)
+
     def test_parents_declared_out_of_topological_order(self):
         g = Dag(("Y", "B", "A"), (("B", "Y"), ("A", "Y"), ("A", "B")), "A", "Y")
         assert g.parent_list("Y") == ("A", "B")
@@ -292,6 +308,26 @@ class TestSerialization:
     def test_dataset_validates_cards(self):
         with pytest.raises(ValueError):
             Dataset(("A",), np.array([[3]]), {"A": 2})
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.7, 1.9]], "state 0.7 in column 'A'"),
+            (np.array([[0.0, np.nan]]), "state nan in column 'Y'"),
+            (np.array([[np.inf, 0.0]]), "state inf in column 'A'"),
+            (np.array([[0.0, 2.0**63]]), "state 9.223372036854776e+18 in column 'Y'"),
+        ],
+        ids=["fraction", "nan", "inf", "past-64-bits"],
+    )
+    def test_dataset_refuses_non_integer_states(self, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message) + " is not a 64-bit integer"):
+            Dataset(("A", "Y"), rows)
+
+    def test_dataset_accepts_whole_floats_and_keeps_int64_rows(self):
+        ds = Dataset(("A", "Y"), np.array([[0.0, 1.0], [2.0, 0.0]]))
+        assert ds.rows.dtype == np.int64 and ds.rows.tolist() == [[0, 1], [2, 0]]
+        rows = np.array([[0, 1], [1, 0]])
+        assert Dataset(("A", "Y"), rows).rows is rows
 
     @pytest.mark.parametrize("rows", [np.zeros((3, 1)), np.zeros(2)], ids=["width", "ndim"])
     def test_dataset_rejects_rows_of_the_wrong_shape(self, rows):

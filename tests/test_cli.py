@@ -251,12 +251,16 @@ class TestEstimate:
              "d.csv, line 1: field larger than field limit"),
             ("d.csv", f"O,A,Y\n0,1,1\n1,0,{'1' * 200_000}\n",
              "d.csv, line 3: field larger than field limit"),
+            # a JSON syntax error, and a byte that is not UTF-8 on line 3
+            ("net.json", '{"graph": [1,}', "net.json: Expecting value: line 1 column 14"),
+            ("d.csv", b"O,A,Y\n0,1,1\n1,0,\xff\n",
+             "d.csv, line 3: not UTF-8 (invalid start byte, byte 0xff)"),
         ],
-        ids=["deep-network-json", "csv-header-field", "csv-row-field"],
+        ids=["deep-network-json", "csv-header-field", "csv-row-field", "json-syntax", "csv-not-utf8"],
     )
     def test_input_past_a_parser_limit_is_input_error(self, capsys, tmp_path, name, text, where):
         path = tmp_path / name
-        path.write_text(text)
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
         argv = ["estimate", "--bn", str(path)]
         if name.endswith(".csv"):
             graph_path = tmp_path / "confounded.graph"
@@ -265,6 +269,15 @@ class TestEstimate:
         code, out, err = run(capsys, argv + ["--level", "1", "--estimator", "g"])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+    def test_graph_parse_error_names_the_file(self, capsys, tmp_path):
+        data_path, graph_path = tmp_path / "d.csv", tmp_path / "g.graph"
+        data_path.write_text("O,A,Y\n0,1,1\n")
+        graph_path.write_text("!treatment A\n!outcome Y\nA -> \n")
+        argv = ["estimate", "--data", str(data_path), "--graph", str(graph_path)]
+        code, out, err = run(capsys, argv + ["--level", "1", "--estimator", "g"])
+        assert code == 2 and out == ""
+        assert f"error: {graph_path}: line 3: malformed edge line" in err
 
     def test_g_plugin_on_wide_data(self, capsys, tmp_path):
         # a 26-vertex binary chain: its labels hold 2**26 cells, its largest

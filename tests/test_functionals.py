@@ -532,6 +532,19 @@ class TestPlugins:
         est = plugin_g(ds, bn.graph, 1)
         assert abs(est - truth) < 0.01
 
+    def test_plugins_do_not_depend_on_the_rows_memory_layout(self):
+        # a sample's columns are contiguous, a CSV's are strided: the counts
+        # and so the floats are the same
+        bn = rational_front_door_law()
+        ds = sample(bn, 5000, seed=3)
+        rows = np.ascontiguousarray(ds.rows)
+        assert not ds.rows.flags.c_contiguous and rows.flags.c_contiguous
+        other = Dataset(ds.columns, rows, ds.cards)
+        for graph in (bn.graph, reduce(bn.graph).output):
+            assert plugin_g(other, graph, 1) == plugin_g(ds, graph, 1)
+        adjust = partial(plugin_adjustment, g=bn.graph, L={"O"}, a=1)
+        assert adjust(other) == adjust(ds)
+
     def test_extra_columns_ignored(self):
         # a dataset may carry more columns than the estimating graph uses
         bn = rational_front_door_law()
