@@ -27,6 +27,7 @@ from .bn import (
     DiscreteBn,
     PositivityError,
     ZeroConditioningEvent,
+    _DENSE_CELLS,
     _broadcast_factor,
     _flat_index,
     check_enumerable,
@@ -251,23 +252,6 @@ def _g_formula(
         _require(weight, den.reshape(weight.shape), error, message, where)
     y_vals = ((y,), np.arange(cards[y], dtype=float))
     return float(contract(conds + [y_vals], cards, ()))
-
-
-# Past this many cells of the law over the vertices a computation reads, the
-# exact layer contracts each family's table from the CPTs instead of summing
-# it from that law: the influence function's support U in EifContext.build,
-# a g-formula's labels in _g_formula.  Dense cost grows with those
-# cells, contraction cost with the number of families.  Per eif_variance
-# call, on a 2-core x86 box (numpy 2.4): at 972 cells (7 vertices in U) dense
-# took 0.50-0.70 ms and contraction 0.98-1.43 ms; at 59 049 cells (10
-# vertices) dense took 8.8-14.4 ms and contraction 3.0-3.2 ms.  The two
-# crossed between 4 608 and 10 368 cells on an 11-vertex U and between 5 184
-# and 11 664 on a 10-vertex U.  For the g-formula, one law over the labels
-# summed per family, against one contraction per family, took the
-# benchmark's exact_small workload (laws of at most 8 vertices) from 539 to
-# 599 items/s on the same box, median of 10 alternated 25 s pairs, better
-# in 8 of them.
-_DENSE_CELLS = 2**14
 
 
 def _dense(cards: Mapping[str, int], vertices: Iterable[str]) -> bool:

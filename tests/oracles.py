@@ -464,3 +464,17 @@ def sample_gathered(bn, n: int, seed: int):
         cols[v] = np.minimum(states, bn.cards[v] - 1).astype(np.int64)
     data = np.column_stack([cols[v] for v in bn.graph.vertices])
     return Dataset(tuple(bn.graph.vertices), data, dict(bn.cards))
+
+
+def contract_dense(factors, cards, keep) -> np.ndarray:
+    """The product of ``(axes, table)`` factors summed down to ``keep``, one
+    axis per kept vertex in that order: the whole product over every vertex
+    that ``keep`` or a factor names, formed by explicit broadcasting, then
+    summed over the vertices not kept."""
+    axes = list(dict.fromkeys([*keep, *(v for f_axes, _ in factors for v in f_axes)]))
+    total = np.ones([cards[v] for v in axes])
+    for f_axes, table in factors:
+        order = sorted(range(len(f_axes)), key=lambda i: axes.index(f_axes[i]))
+        shape = [cards[v] if v in f_axes else 1 for v in axes]
+        total = total * np.transpose(table, order).reshape(shape)
+    return total.sum(axis=tuple(range(len(keep), len(axes))))

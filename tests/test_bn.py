@@ -1,17 +1,22 @@
 """Discrete networks: validation, enumeration, generation, sampling, io."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_reduce.bn import (
+    ENUMERATION_LIMIT,
     Dataset,
     DiscreteBn,
     EnumerationLimitError,
     NormalizationError,
     bn_from_json,
     bn_to_json,
+    contract,
     dataset_from_csv,
     dataset_to_csv,
     derive_seed,
@@ -23,7 +28,7 @@ from causal_reduce.bn import (
 from causal_reduce.graph import Dag, GraphError, d_separated
 from causal_reduce.simulate import DEFAULTS, SimConfig, build_benchmark_dgp
 from conftest import LAW_SUITE, golden
-from oracles import joint_prob_loop, random_dag, sample_gathered
+from oracles import contract_dense, joint_prob_loop, random_dag, sample_gathered
 
 
 def coin_pair() -> DiscreteBn:
@@ -113,6 +118,96 @@ class TestJointTable:
         bn = DiscreteBn(g, {v: 2 for v in labels}, cpts)
         with pytest.raises(EnumerationLimitError):
             joint_table(bn)
+
+
+@st.composite
+def factor_sets(draw, past_dense):
+    """Factors over vertices of 1-3 states, tables from a drawn seed, and a
+    ``keep`` in any order.  Below the 2**14-cell rule every product has at
+    most 3**8 cells; past it the vertices' product exceeds 2**14 and a chain
+    of pair factors names every vertex."""
+    if past_dense:
+        cards = draw(st.lists(st.integers(2, 3), min_size=9, max_size=12))
+        while math.prod(cards) <= 2**14:
+            cards.append(3)
+        cards += [1] * draw(st.integers(0, 2))
+    else:
+        cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    names = [f"v{i}" for i in range(len(cards))]
+    index = st.integers(0, len(names) - 1)
+    subsets = draw(st.lists(st.lists(index, unique=True, max_size=4), max_size=8))
+    if past_dense:
+        subsets += [[i, i + 1] for i in range(len(names) - 1)]
+    keep = [names[i] for i in draw(st.lists(index, unique=True, max_size=4))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = [
+        (tuple(names[i] for i in s), rng.random([cards[i] for i in s])) for s in subsets
+    ]
+    return factors, dict(zip(names, cards)), keep
+
+
+class TestContract:
+    """``contract`` against the dense oracle, on both sides of the 2**14-cell
+    rule that chooses one einsum call or variable elimination."""
+
+    @pytest.mark.parametrize("past_dense", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_product(self, past_dense, data):
+        factors, cards, keep = data.draw(factor_sets(past_dense))
+        got = contract(factors, cards, keep)
+        want = contract_dense(factors, cards, keep)
+        assert got.shape == tuple(cards[v] for v in keep)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # elimination sums down to a numpy scalar when nothing is kept
+        assert got.flags.writeable or (not keep and np.isscalar(got))
+        assert not any(np.shares_memory(got, table) for _, table in factors)
+
+    def test_one_factor_result_is_a_fresh_array(self):
+        bn = biased_chain()
+        for got, table in (
+            (marginal(bn, ["A"]), bn.cpts["A"]),
+            (contract([(("A", "Y"), bn.cpts["Y"])], bn.cards, ["Y", "A"]), bn.cpts["Y"]),
+        ):
+            assert got.flags.writeable and not np.shares_memory(got, table)
+        np.testing.assert_array_equal(marginal(bn, ["A"]), bn.cpts["A"])
+
+    def test_more_labels_than_einsum_takes(self):
+        # 60 vertices of one state and two of two: 4 cells, 62 labels
+        names = [f"u{i}" for i in range(60)]
+        cards = {**{v: 1 for v in names}, "x": 2, "y": 2}
+        rng = np.random.default_rng(3)
+        factors = [
+            (tuple(names[i : i + 10]) + (xy,), rng.random([1] * 10 + [2]))
+            for i, xy in zip(range(0, 60, 10), "xyxyxy")
+        ]
+        # the same product with the one-state axes dropped
+        squeezed = [(axes[-1:], t.reshape(2)) for axes, t in factors]
+        for keep in ([], ["y", "u3"], ["x", "y"]):
+            got = contract(factors, cards, keep)
+            np.testing.assert_allclose(got, contract(factors[::-1], cards, keep), rtol=1e-12)
+            np.testing.assert_allclose(got, contract_dense(squeezed, cards, keep), rtol=1e-12)
+
+    def test_more_factors_than_einsum_takes(self):
+        # 70 pair factors over 10 binary vertices: 1 024 cells
+        names = [f"v{i}" for i in range(10)]
+        cards = {v: 2 for v in names}
+        rng = np.random.default_rng(4)
+        pairs = [rng.choice(10, size=2, replace=False) for _ in range(70)]
+        factors = [((names[i], names[j]), rng.random((2, 2)) + 0.5) for i, j in pairs]
+        for keep in ([], ["v7", "v2"]):
+            got = contract(factors, cards, keep)
+            np.testing.assert_allclose(got, contract(factors[::-1], cards, keep), rtol=1e-12)
+            np.testing.assert_allclose(got, contract_dense(factors, cards, keep), rtol=1e-12)
+
+    def test_past_the_enumeration_limit_raises(self):
+        names = [f"v{i}" for i in range(24)]  # 2**24 cells, past the limit
+        assert 2**24 > ENUMERATION_LIMIT
+        cards = {v: 2 for v in names}
+        clique = [((u, v), np.full((2, 2), 0.5)) for i, u in enumerate(names) for v in names[:i]]
+        for factors, keep in (([], names), (clique, [])):
+            with pytest.raises(EnumerationLimitError):
+                contract(factors, cards, keep)
 
 
 class TestRandomLaw:
