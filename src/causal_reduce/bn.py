@@ -9,7 +9,9 @@ which multiplies CPT factors and sums them down to only the vertices a query
 needs.  A product of at most ``_DENSE_CELLS`` (2**14) cells is formed in one
 ``np.einsum`` call; a larger one is eliminated one variable at a time, and
 ``ENUMERATION_LIMIT`` (10**7 cells) bounds the largest table formed on the
-way.
+way.  :func:`contract_each` gives the tables of several scopes from one
+product, calibrated once by Shafer-Shenoy messages over its elimination
+cliques.
 """
 
 from __future__ import annotations
@@ -47,23 +49,15 @@ ENUMERATION_LIMIT = 10_000_000
 # A product of at most this many cells is formed whole: contract takes it in
 # one np.einsum call instead of eliminating one variable at a time, and the
 # exact layer sums each family's table from the dense law over the vertices
-# a computation reads instead of contracting it from the CPTs (the influence
-# function's support U in EifContext.build, a g-formula's labels in
-# _g_formula).  Dense cost grows with the cells, contraction cost with the
-# number of factors or families.  All timings on a 2-core x86 box (numpy
-# 2.4).  Per eif_variance call: at 972 cells (7 vertices in U) dense took
-# 0.50-0.70 ms and contraction 0.98-1.43 ms; at 59 049 cells (10 vertices)
-# dense took 8.8-14.4 ms and contraction 3.0-3.2 ms.  The two crossed
-# between 4 608 and 10 368 cells on an 11-vertex U and between 5 184 and
-# 11 664 on a 10-vertex U.  For the g-formula, one law over the labels summed
-# per family, against one contraction per family, took the benchmark's
-# exact_small workload (laws of at most 8 vertices) from 539 to 599 items/s,
-# median of 10 alternated 25 s pairs, better in 8 of them.  For contract,
-# the time per in-process pass over the benchmark's seed-1 items with one
-# einsum call up to the threshold, as a ratio to elimination throughout:
-# at 2**12 cells 0.74 on exact_small, 0.98 on exact_large and 0.98 on
-# simulate; at 2**14 0.75 (faster in 20 of 20 passes), 1.01 and 0.95
-# (11 of 12); at 2**16 1.05 on exact_large (0 of 14); at 2**18 1.41 there.
+# a computation reads (the influence function's support U in
+# EifContext.build, a g-formula's labels in _g_formula) instead of reading
+# them all from one calibrated pass over the CPTs (contract_each).  Dense
+# cost grows with the cells, the pass's with the factors and families.  Per
+# eif_variance call on a 2-core x86 box (numpy 2.4), the two cross between
+# 7 776 and 11 664 cells on a 10-vertex U and near 6 912 on an 11-vertex U.
+# For contract, one einsum call up to 2**14 cells made a pass over
+# exact_small's items 0.75 as long as elimination, level on exact_large and
+# simulate; 2**16 was slower on exact_large.  CHANGES.md has the timings.
 _DENSE_CELLS = 2**14
 
 _ROW_SUM_TOL = 1e-12
@@ -208,6 +202,30 @@ def _product(
     return total if total.shape == shape else np.broadcast_to(total, shape).copy()
 
 
+def _einsum(
+    factors: Sequence[AxesTable], cards: Mapping[str, int], keep: Sequence[str],
+    index: Mapping[str, int],
+) -> np.ndarray:
+    """The product of ``factors`` summed down to ``keep`` in one
+    ``np.einsum`` call, ``index`` numbering every factor axis and kept
+    vertex, each kept vertex named by some factor.  The result is a fresh
+    array: einsum may return a view of its one operand."""
+    operands = [x for axes, t in factors for x in (t, [index[v] for v in axes])]
+    out = np.empty([cards[v] for v in keep])
+    return np.einsum(*operands, [index[v] for v in keep], out=out)
+
+
+def _fits_einsum(labels: Sequence[str], operands: int, cards: Mapping[str, int]) -> bool:
+    """Whether a product over ``labels`` of ``operands`` factors goes in one
+    einsum call: at most ``_DENSE_CELLS`` cells, and within einsum's limits
+    of 52 sublist labels and 31 operands (on numpy 1.x)."""
+    return (
+        0 < operands < 32
+        and len(labels) <= 52
+        and math.prod(map(cards.__getitem__, labels)) <= _DENSE_CELLS
+    )
+
+
 def contract(
     factors: Iterable[AxesTable], cards: Mapping[str, int], keep: Sequence[str]
 ) -> np.ndarray:
@@ -216,30 +234,22 @@ def contract(
     table.
 
     A product of at most ``_DENSE_CELLS`` (2**14) cells over every factor
-    axis and every kept vertex is formed in one ``np.einsum`` call, a kept
-    vertex that no factor mentions taking a factor of ones.  A larger one,
-    or one past einsum's limits of 52 labels and 31 operands, goes by
-    variable elimination: each step takes the summed-out vertex with the
-    fewest neighbours in the factors' interaction graph (ties in order of
-    first appearance), multiplies the factors that mention it by
-    broadcasting, and sums out it and every other summed-out vertex that no
-    remaining factor mentions.  Every table elimination forms, the result
-    included, is checked against ``ENUMERATION_LIMIT``.
+    axis and every kept vertex is formed in one ``np.einsum`` call
+    (:func:`_einsum`).  A larger one, or one past einsum's limits of 52
+    labels and 31 operands, goes by variable elimination: each step takes
+    the summed-out vertex with the fewest neighbours in the factors'
+    interaction graph (ties in order of first appearance), multiplies the
+    factors that mention it by broadcasting, and sums out it and every
+    other summed-out vertex that no remaining factor mentions.  Every table
+    elimination forms, the result included, is checked against
+    ``ENUMERATION_LIMIT``.
     """
     factors = list(factors)
     named = dict.fromkeys([v for axes, _ in factors for v in axes])
     labels = {**named, **dict.fromkeys(keep)}
-    # einsum takes at most 52 sublist labels, and 31 operands on numpy 1.x
-    if (
-        0 < len(factors) + len(labels) - len(named) < 32
-        and len(labels) <= 52
-        and math.prod(map(cards.__getitem__, labels)) <= _DENSE_CELLS
-    ):
-        index = dict(zip(labels, range(len(labels))))
-        ones = [((v,), np.ones(cards[v])) for v in labels if v not in named]
-        operands = [x for axes, t in factors + ones for x in (t, [index[v] for v in axes])]
-        out = np.empty([cards[v] for v in keep])  # einsum may return a view of its one operand
-        return np.einsum(*operands, [index[v] for v in keep], out=out)
+    if _fits_einsum(labels, len(factors) + len(labels) - len(named), cards):
+        ones = [((v,), np.ones(cards[v])) for v in keep if v not in named]
+        return _einsum(factors + ones, cards, keep, dict(zip(labels, range(len(labels)))))
     kept = set(keep)
     nbrs: dict[str, set[str]] = {}  # summed-out vertex -> its neighbours
     for axes, _ in factors:
@@ -263,6 +273,127 @@ def contract(
         table = bucket[0][1] if len(bucket) == 1 else _product(bucket, cards, axes)
         factors.append((out, table.sum(axis=tuple(axes.index(u) for u in gone))))
     return _product(factors, cards, tuple(keep))
+
+
+def contract_each(
+    factors: Iterable[AxesTable], cards: Mapping[str, int], scopes: Iterable[Sequence[str]]
+) -> list[np.ndarray]:
+    """:func:`contract` of ``factors`` down to each of ``scopes``, from one
+    calibrated pass: each table is a fresh array, one axis per vertex of
+    its scope in that order.
+
+    Every factor's axes and every scope form a clique of the interaction
+    graph, and every vertex is eliminated by :func:`contract`'s rule
+    (fewest neighbours first, ties in order of first appearance).  Vertex
+    v's clique is v and its neighbours when it goes; the clique's parent is
+    that of the first vertex of its separator (the clique without v) to go,
+    and a clique with an empty separator hangs from one root of no
+    vertices.  Each factor and each scope sits at the clique of its
+    first-eliminated vertex.  Shafer-Shenoy messages run up the tree in
+    elimination order and down it in reverse, each the product of a
+    clique's own factors and of every message into it but the receiver's,
+    summed down to the separator; a message goes down only to a subtree
+    that holds a scope.  A scope's table is its clique's factors and every
+    message into it, summed down to the scope, and a scope within a wider
+    one is summed from that one's table instead, where every vertex summed
+    is one that some factor names.  Nothing is divided, so a null event
+    stays an exact 0.  Every clique is checked against
+    ``ENUMERATION_LIMIT`` before any message is formed; a product within
+    :func:`_fits_einsum` over its clique is one :func:`_einsum` call and
+    any other goes through :func:`contract`.
+    """
+    factors = list(factors)
+    scopes = [tuple(s) for s in scopes]
+    nbrs: dict[str, set[str]] = {}
+    for axes in [axes for axes, _ in factors] + scopes:
+        for v in axes:
+            nbrs.setdefault(v, set()).update(axes)
+    first = {v: i for i, v in enumerate(nbrs)}  # order of first appearance
+    step: dict[str, int] = {}  # vertex -> its clique, numbered in elimination order
+    cliques: list[tuple[str, ...]] = []
+    while nbrs:
+        v = min(nbrs, key=lambda u: len(nbrs[u]))
+        around = nbrs.pop(v)
+        around.discard(v)
+        for u in around:
+            nbrs[u].discard(v)
+            nbrs[u].update(around)
+        step[v] = len(cliques)
+        cliques.append((v, *sorted(around, key=first.__getitem__)))
+    for clique in cliques:
+        check_enumerable(cards[v] for v in clique)
+    root = len(cliques)  # the root clique, of no vertices
+    cliques.append(())
+
+    def home(axes: Sequence[str]) -> int:
+        return min((step[v] for v in axes), default=root)
+
+    parent = [home(clique[1:]) for clique in cliques[:root]]
+    children: list[list[int]] = [[] for _ in cliques]
+    for i, p in enumerate(parent):
+        children[p].append(i)
+    own: list[list[AxesTable]] = [[] for _ in cliques]
+    for f in factors:
+        own[home(f[0])].append(f)
+    # the scopes formed at their cliques, widest first, and the one each
+    # other scope is summed from
+    named = {v for axes, _ in factors for v in axes}
+    sets = [set(s) for s in scopes]
+    formed: list[int] = []
+    source: dict[int, int] = {}
+    for k in sorted(range(len(scopes)), key=lambda k: -len(scopes[k])):
+        wider = next(
+            (j for j in formed if sets[k] <= sets[j] and sets[j] - sets[k] <= named), None
+        )
+        if wider is None:
+            formed.append(k)
+        else:
+            source[k] = wider
+    at = [home(scopes[k]) for k in formed]
+
+    def sum_product(i: int, ops: list[AxesTable], keep: Sequence[str]) -> np.ndarray:
+        clique = cliques[i]
+        if _fits_einsum(clique, len(ops), cards):
+            return _einsum(ops, cards, keep, dict(zip(clique, range(len(clique)))))
+        return contract(ops, cards, keep)
+
+    up: list[list[AxesTable]] = []  # the message out of each clique, [] for 1
+    down: list[list[AxesTable]] = [[] for _ in cliques]  # the message into each
+
+    def gathered(i: int, skip: int = -1) -> list[AxesTable]:
+        return own[i] + down[i] + [m for c in children[i] if c != skip for m in up[c]]
+
+    def message(i: int, ops: list[AxesTable], sep: Sequence[str]) -> list[AxesTable]:
+        # only the vertices of sep that ops name: the product is constant
+        # along any other, so the message need not carry it
+        names = {v for axes, _ in ops for v in axes}
+        keep = tuple(u for u in sep if u in names)
+        return [(keep, sum_product(i, ops, keep))] if ops else []
+
+    for i in range(root):
+        up.append(message(i, gathered(i), cliques[i][1:]))
+    # a message down to i is needed where i's subtree holds a scope
+    needed = [False] * (root + 1)
+    for i in at:
+        needed[i] = True
+    for i in range(root):
+        needed[parent[i]] |= needed[i]
+    for p in range(root, -1, -1):
+        for i in children[p]:
+            if needed[i]:
+                down[i] = message(p, gathered(p, i), cliques[i][1:])
+    tables: dict[int, np.ndarray] = {}
+    for i, k in zip(at, formed):
+        ops = gathered(i)
+        names = {v for axes, _ in ops for v in axes}
+        ops += [((v,), np.ones(cards[v])) for v in scopes[k] if v not in names]
+        tables[k] = sum_product(i, ops, scopes[k])
+    for k, j in source.items():
+        wide, scope = scopes[j], scopes[k]
+        rest = [v for v in wide if v in scope]
+        table = tables[j].sum(axis=tuple(i for i, v in enumerate(wide) if v not in scope))
+        tables[k] = np.asarray(table).transpose([rest.index(v) for v in scope])
+    return [tables[k] for k in range(len(scopes))]
 
 
 def cpt_factors(

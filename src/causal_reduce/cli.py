@@ -79,6 +79,22 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _kept_reason(g: Dag, tax: Taxonomy, verdicts: dict[str, CriterionVerdict], v: str) -> str:
+    """Why the reduction keeps ``v``: it is the treatment or the outcome,
+    it is in O as a parent of a mediator, or its criterion fails."""
+    if v == g.treatment:
+        return "treatment"
+    if v == g.outcome:
+        return "outcome"
+    if v in tax.o:
+        m = next(m for m in g.vertices if m in tax.m and v in g.parents(m))
+        return f"in O: parent of mediator {m}"
+    verdict = verdicts[v]
+    at = f" at t={verdict.failed_index}" if verdict.failed_index else ""
+    name = "W" if v in tax.w else "M"
+    return f"{name}-criterion fails clause {verdict.failed_clause}{at}"
+
+
 def _cmd_reduce(args) -> int:
     g = _read_graph(args.graph)
     report = reduce(g)
@@ -91,6 +107,10 @@ def _cmd_reduce(args) -> int:
             "removed": [
                 {"vertex": v, "reason": reason, "pi": list(pi)}
                 for v, reason, pi in report.removed
+            ],
+            "kept": [
+                {"vertex": v, "reason": _kept_reason(g, tax, report.verdicts, v)}
+                for v in report.output.vertices
             ],
             "verdicts": [_verdict_payload(d, tax) for d in report.verdicts.values()],
         }

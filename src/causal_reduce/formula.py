@@ -143,7 +143,8 @@ def evaluate(f: GFormula, bn: DiscreteBn, a: int) -> float:
     conditional comes from the marginal law over its factor's labels, so the
     formula may come from a reduced graph; every label must be a vertex.
     The conditionals are contracted family by family, and past 2**14 cells
-    no table over all the labels is formed.  On ``derive_gformula(g)`` this
+    no table over all the labels is formed: every family's table then comes
+    from one calibrated pass over the CPTs.  On ``derive_gformula(g)`` this
     is :func:`~causal_reduce.functionals.g_functional_for_graph` on ``g``:
     the same value to the bit, or the same error with the same ``cell``.
     """

@@ -32,6 +32,7 @@ from .bn import (
     _flat_index,
     check_enumerable,
     contract,
+    contract_each,
     cpt_factors,
     marginal,
 )
@@ -197,7 +198,7 @@ def _factors(g: Dag) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def _g_formula(
-    table: Callable[[Sequence[str]], np.ndarray], labels: Sequence[str],
+    tables: Callable[[list[Sequence[str]]], list[np.ndarray]], labels: Sequence[str],
     cards: Mapping[str, int], factors: Sequence[tuple[str, Sequence[str]]],
     treat: str, y: str, a: int, add: float = 0.0,
 ) -> float:
@@ -205,11 +206,13 @@ def _g_formula(
     vertex, with the treatment fixed at ``a`` where it is a parent; a
     graph's factors come from :func:`_factors`, in topological order.  Each
     conditional is read from a law, or counts, over the factor's family, its
-    axes in ``labels`` order: ``table(labels)`` summed down to the family
-    while that is dense (:func:`_dense`), and ``table(family)`` past that;
-    ``add`` is added to each family's table after summing.  The
-    conditionals are contracted with Y's values down to a scalar, so no
-    table wider than the contraction needs is formed.
+    axes in ``labels`` order.  ``tables(scopes)`` gives one table per scope:
+    while the law over ``labels`` is dense (:func:`_dense`) it is read as
+    ``tables([labels])`` and summed down to each family, and past that every
+    family's table comes from one call, ``tables(families)``; ``add`` is
+    added to each family's table after summing.  The conditionals are
+    contracted with Y's values down to a scalar, so no table wider than the
+    contraction needs is formed.
 
     A needed conditional on a zero-probability event raises: with the
     treatment among its parents it is a :class:`PositivityError`, otherwise
@@ -219,14 +222,17 @@ def _g_formula(
     ``factors`` order, and of that factor's needed cells the first in C
     order over those parents taken in ``labels`` order.
     """
-    whole = table(labels) if _dense(cards, labels) else None
+    whole = tables([labels])[0] if _dense(cards, labels) else None
     _check_level(cards, treat, a)
     for child, parents in factors:  # a family past the guard raises before any table
         check_enumerable(cards[v] for v in (child, *parents))
+    fams = [[v for v in labels if v == child or v in parents] for child, parents in factors]
+    if whole is None:
+        nums = tables(fams)
+    else:
+        nums = [_sum_to(whole, labels, fam) for fam in fams]
     conds, undefined = [], []
-    for child, parents in factors:
-        fam = [v for v in labels if v == child or v in parents]
-        num = table(fam) if whole is None else _sum_to(whole, labels, fam)
+    for (child, parents), fam, num in zip(factors, fams, nums):
         num = (num + add).reshape([cards[v] for v in fam])
         if treat in parents:
             num = num.take(a, axis=fam.index(treat))
@@ -259,14 +265,24 @@ def _dense(cards: Mapping[str, int], vertices: Iterable[str]) -> bool:
     return math.prod(cards[v] for v in vertices) <= _DENSE_CELLS
 
 
+def _law_tables(bn: DiscreteBn, scopes: list[Sequence[str]]) -> list[np.ndarray]:
+    """The law of ``bn`` over each of ``scopes``: one :func:`marginal`, or
+    one calibrated pass (:func:`~causal_reduce.bn.contract_each`) over the
+    CPTs that their union needs."""
+    if len(scopes) == 1:
+        return [marginal(bn, scopes[0])]
+    return contract_each(cpt_factors(bn, {v for s in scopes for v in s}), bn.cards, scopes)
+
+
 def _g_formula_exact(
     bn: DiscreteBn, factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int
 ) -> float:
-    """:func:`_g_formula` with ``table`` the law of ``bn``: each family's
+    """:func:`_g_formula` with ``tables`` the law of ``bn``: each family's
     table is summed from the law over the formula's labels while that is
-    dense, and otherwise contracted from the CPTs on its own."""
+    dense, and otherwise every family's table comes from one calibrated
+    pass over the CPTs (:func:`_law_tables`)."""
     labels = _labels(bn, {treat} | {v for c, pa in factors for v in (c, *pa)})
-    return _g_formula(partial(marginal, bn), labels, bn.cards, factors, treat, y, a)
+    return _g_formula(partial(_law_tables, bn), labels, bn.cards, factors, treat, y, a)
 
 
 def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
@@ -276,9 +292,10 @@ def g_functional_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     case the marginal law is used; this computes the reduced-graph
     functional of the marginal law in one step.  Each conditional is read
     from the law over its family, summed from the law over
-    ``graph.vertices`` while that has at most 2**14 cells and contracted
-    from the CPTs past that, and the conditionals are contracted together:
-    the full graph of a 60-vertex chain answers.
+    ``graph.vertices`` while that has at most 2**14 cells; past that every
+    family's table comes from one calibrated pass over the CPTs
+    (:func:`~causal_reduce.bn.contract_each`).  The conditionals are
+    contracted together: the full graph of a 60-vertex chain answers.
     """
     return _g_formula_exact(bn, _factors(graph), graph.treatment, graph.outcome, a)
 
@@ -375,8 +392,8 @@ class EifContext:
         _check_level(bn.cards, treat, a)
         # one law for b and rho: the dense law over the support U while it
         # is small, which then also gives every family's table; else the
-        # law over O ∪ {A, Y}, with each family's table contracted from the
-        # CPTs
+        # law over O ∪ {A, Y}, with the family tables of W and of M each
+        # from one calibrated pass over the CPTs and f's stacked factor
         support = _eif_support(graph, tax)
         dense = _dense(bn.cards, support)
         labels, law = _law_over(bn, support if dense else tax.o | {treat, y})
@@ -401,23 +418,23 @@ class EifContext:
             members = [v for v in graph.vertices if v in group]
             if not members:
                 continue
+            keeps = [graph.parents(v) | {v} for v in members]
+            fams = [[u for u in bn.graph.vertices if u in keep] for keep in keeps]
             if dense:
                 stacked = np.array([law, law * f_arr])
+                tables = [
+                    stacked.sum(axis=tuple(i + 1 for i, u in enumerate(labels) if u not in keep))
+                    for keep in keeps
+                ]
             else:
                 stack = max(bn.cards, key=len) + "'"  # longer than every vertex name
-                cards = {**bn.cards, stack: 2}
                 f_axes = tuple(v for v in labels if v in over)
                 f = f_arr.reshape([bn.cards[v] for v in f_axes])
-                f_factor = ((stack,) + f_axes, np.array([np.ones_like(f), f]))
-            for v in members:
-                keep = graph.parents(v) | {v}
-                fam = [u for u in bn.graph.vertices if u in keep]
-                if dense:
-                    drop = tuple(i + 1 for i, u in enumerate(labels) if u not in keep)
-                    p, pf = stacked.sum(axis=drop)
-                else:
-                    factors = cpt_factors(bn, keep | set(f_axes)) + [f_factor]
-                    p, pf = contract(factors, cards, [stack] + fam)
+                factors = cpt_factors(bn, set(f_axes).union(*keeps))
+                factors.append(((stack,) + f_axes, np.array([np.ones_like(f), f])))
+                scopes = [[stack] + fam for fam in fams]
+                tables = contract_each(factors, {**bn.cards, stack: 2}, scopes)
+            for v, fam, (p, pf) in zip(members, fams, tables):
                 i = fam.index(v)
                 pa_mean = _ratio(pf.sum(axis=i, keepdims=True), p.sum(axis=i, keepdims=True))
                 families.append((v, fam, p, _ratio(pf, p) - pa_mean))
@@ -466,7 +483,9 @@ def eif_variance_for_graph(bn: DiscreteBn, graph: Dag, a: int) -> float:
     relative to ``graph``, as the network's law is relative to its own
     graph and its marginal is relative to ``reduce(bn.graph).output``.  No
     table over the influence function's whole support is formed past
-    2**14 cells; each family's table is then contracted from the CPTs."""
+    2**14 cells; the family tables of W, and then those of M, each come
+    from one calibrated pass over the CPTs
+    (:func:`~causal_reduce.bn.contract_each`)."""
     return sum(eif_variance_terms(bn, graph, a).values())
 
 
@@ -536,7 +555,10 @@ def plugin_g(dataset: Dataset, g: Dag, a: int, laplace: float | None = None) -> 
         raise ValueError(f"laplace must be finite and >= 0, got {laplace}")
     labels = list(g.vertices)
     cards = _data_cards(dataset, labels, g.treatment, a)
-    counts = partial(_counts, dataset, cards=cards)
+
+    def counts(scopes: list[Sequence[str]]) -> list[np.ndarray]:
+        return [_counts(dataset, s, cards) for s in scopes]
+
     with _empty_cells():
         return _g_formula(
             counts, labels, cards, _factors(g), g.treatment, g.outcome, a, laplace or 0.0

@@ -17,6 +17,7 @@ from causal_reduce.bn import (
     bn_from_json,
     bn_to_json,
     contract,
+    contract_each,
     dataset_from_csv,
     dataset_to_csv,
     derive_seed,
@@ -25,6 +26,7 @@ from causal_reduce.bn import (
     random_law,
     sample,
 )
+from causal_reduce import bn as bn_module
 from causal_reduce.graph import Dag, GraphError, d_separated
 from causal_reduce.simulate import DEFAULTS, SimConfig, build_benchmark_dgp
 from conftest import LAW_SUITE, golden
@@ -208,6 +210,101 @@ class TestContract:
         for factors, keep in (([], names), (clique, [])):
             with pytest.raises(EnumerationLimitError):
                 contract(factors, cards, keep)
+
+
+@st.composite
+def scope_sets(draw, past_dense):
+    """``factor_sets`` with 1-4 scopes in place of ``keep``: each of up to 4
+    of the factors' vertices or ``w``, a vertex of 1-3 states that no factor
+    names, and past the dense rule one scope over every vertex, whose
+    clique then has more than 2**14 cells."""
+    factors, cards, _ = draw(factor_sets(past_dense))
+    cards["w"] = draw(st.integers(1, 3))
+    vertex = st.sampled_from(sorted(cards))
+    scopes = draw(st.lists(st.lists(vertex, unique=True, max_size=4), min_size=1, max_size=4))
+    if past_dense:
+        scopes[0] = draw(st.permutations(sorted(cards)))
+    return factors, cards, scopes
+
+
+class TestContractEach:
+    """``contract_each`` against the dense oracle, one table per scope, on
+    both sides of the 2**14-cell rule for its cliques."""
+
+    @pytest.mark.parametrize("past_dense", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_dense_product(self, past_dense, data):
+        factors, cards, scopes = data.draw(scope_sets(past_dense))
+        got = contract_each(factors, cards, scopes)
+        assert len(got) == len(scopes)
+        for scope, table in zip(scopes, got):
+            want = contract_dense(factors, cards, scope)
+            assert isinstance(table, np.ndarray)
+            assert table.shape == tuple(cards[v] for v in scope)
+            np.testing.assert_allclose(table, want, rtol=1e-12, atol=0.0)
+        # fresh arrays: no view of a factor's table or of another scope's
+        tables = [t for _, t in factors] + got
+        for i, table in enumerate(got):
+            assert not any(np.shares_memory(table, t) for t in tables if t is not table)
+
+    def test_scopes_that_share_no_factor(self):
+        # two components and a vertex that no factor names: each scope's
+        # table carries the other component's total
+        cards = {"a": 2, "b": 3, "c": 2, "d": 3, "w": 2}
+        rng = np.random.default_rng(5)
+        factors = [
+            (("a", "b"), rng.random((2, 3))), (("c", "d"), rng.random((2, 3))), ((), np.array(0.5))
+        ]
+        scopes = [["b"], ["d", "c"], ["a", "d"], ["w"], [], ["w", "a", "b"]]
+        for scope, table in zip(scopes, contract_each(factors, cards, scopes)):
+            np.testing.assert_allclose(table, contract_dense(factors, cards, scope), rtol=1e-12)
+
+    def test_past_einsum_labels_and_operands(self, monkeypatch):
+        # a scope over 60 one-state vertices and two of two states: a clique
+        # of 62 labels; and 70 pair factors over 4 of 10 binary vertices,
+        # the first clique's 40 or more of them past 31 operands
+        names = [f"u{i}" for i in range(60)]
+        rng = np.random.default_rng(3)
+        wide = [
+            (tuple(names[i : i + 10]) + (xy,), rng.random([1] * 10 + [2]))
+            for i, xy in zip(range(0, 60, 10), "xyxyxy")
+        ]
+        wide_cards = {**{v: 1 for v in names}, "x": 2, "y": 2}
+        wide_scopes = [names + ["x", "y"], ["y", "u3"], []]
+        names = [f"v{i}" for i in range(10)]
+        pairs = [rng.choice(4, size=2, replace=False) for _ in range(70)]
+        many = [((names[i], names[j]), rng.random((2, 2)) + 0.5) for i, j in pairs]
+        many += [((u, v), rng.random((2, 2)) + 0.5) for u, v in zip(names[3:], names[4:])]
+        many_scopes = [names, ["v7", "v2"], []]
+        contracted = []
+        def recorded(*args):
+            contracted.append(args)
+            return contract(*args)
+
+        monkeypatch.setattr(bn_module, "contract", recorded)
+        for factors, cards, scopes in (
+            (wide, wide_cards, wide_scopes), (many, {v: 2 for v in names}, many_scopes)
+        ):
+            contracted.clear()
+            for scope, table in zip(scopes, contract_each(factors, cards, scopes)):
+                np.testing.assert_allclose(table, contract_dense(factors, cards, scope), rtol=1e-12)
+            assert contracted  # some product went past einsum's limits
+
+    def test_past_the_enumeration_limit_raises_before_any_table(self, monkeypatch):
+        # a complete graph of pair factors over 24 binary vertices: its first
+        # clique has 2**24 cells, past the limit
+        names = [f"v{i}" for i in range(24)]
+        cards = {v: 2 for v in names}
+        clique = [((u, v), np.full((2, 2), 0.5)) for i, u in enumerate(names) for v in names[:i]]
+
+        def formed(*args, **kwargs):
+            raise AssertionError("a table was formed")
+
+        monkeypatch.setattr(bn_module, "_einsum", formed)
+        monkeypatch.setattr(bn_module, "contract", formed)
+        with pytest.raises(EnumerationLimitError):
+            contract_each(clique, cards, [["v0"], ["v3", "v5"]])
 
 
 class TestRandomLaw:

@@ -107,6 +107,25 @@ class TestReduce:
                 "chain": ["W4"],
             }
         assert verdicts["W4"]["satisfied"] and verdicts["W1"]["satisfied"]
+        assert report["kept"] == [
+            {"vertex": "A", "reason": "treatment"},
+            {"vertex": "Y", "reason": "outcome"},
+            {"vertex": "O1", "reason": "in O: parent of mediator Y"},
+            {"vertex": "W2", "reason": "W-criterion fails clause ii_b at t=1"},
+            {"vertex": "W3", "reason": "W-criterion fails clause ii_b at t=1"},
+        ]
+
+    @pytest.mark.parametrize("name", ["motivating", "zoo", "covariate_web", "mediator_chain"])
+    def test_report_keeps_or_removes_every_vertex(self, capsys, tmp_path, name):
+        path, report_path = tmp_path / "g.graph", tmp_path / "report.json"
+        path.write_text(format_graph(golden(name)))
+        assert run(capsys, ["reduce", "--graph", str(path), "--report", str(report_path)])[0] == 0
+        report = json.loads(report_path.read_text())
+        removed = [r["vertex"] for r in report["removed"]]
+        kept = [k["vertex"] for k in report["kept"]]
+        assert sorted(removed + kept) == sorted(report["input"]["vertices"])
+        assert kept == report["output"]["vertices"]
+        assert all(k["reason"] for k in report["kept"])
 
     def test_stdout_is_pinned(self, capsys, tmp_path):
         # three I vertices, declared against their elimination order, and

@@ -38,7 +38,14 @@ from causal_reduce.graph import Dag, GraphError, descendants, parse_graph
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import classify
 from conftest import LAW_SUITE, golden, positivity_hole_law
-from oracles import adjustment_dense, eif_dense, g_formula_dense, powerset
+from oracles import (
+    adjustment_dense,
+    eif_dense,
+    g_formula_dense,
+    g_formula_per_family,
+    powerset,
+    random_dag,
+)
 
 
 def coin_pair():
@@ -796,6 +803,108 @@ class TestChainPastDenseJoint:
         for view in ("values", "joint"):
             with pytest.raises(EnumerationLimitError):
                 getattr(ctx, view)
+
+
+# -- every family table from one calibrated pass ------------------------------
+
+def _law_with_hole(k: int):
+    """A binary law on a random 16-vertex DAG, 2**16 cells over its labels,
+    with a null event chosen by ``k % 3``: P(A=1 | pa) = 0 in one row of the
+    treatment's CPT; a root state of probability 0; or that treatment row
+    together with a child of the treatment other than the outcome, where
+    there is one, that copies it."""
+    rng = np.random.default_rng(2700 + k)
+    g = random_dag(rng, 16, 0.25, ensure_assumption=True)
+    bn = random_law(g, {v: 2 for v in g.vertices}, seed=k, epsilon=0.02)
+    treat = g.treatment
+    if k % 3 == 1:
+        root = [v for v in g.vertices if not g.parent_list(v)][0]
+        return bn.with_cpt(root, np.array([1.0, 0.0]))
+    table = np.array(bn.cpts[treat])
+    rows = table.reshape(-1, 2)
+    rows[int(rng.integers(len(rows)))] = (1.0, 0.0)
+    bn = bn.with_cpt(treat, table)
+    children = [v for v in g.vertices if treat in g.parent_list(v) and v != g.outcome]
+    if k % 3 == 2 and children:
+        child = children[0]
+        copy = np.zeros(bn.cpts[child].shape)
+        at = [slice(None)] * copy.ndim
+        for s in (0, 1):
+            at[g.parent_list(child).index(treat)] = at[-1] = s
+            copy[tuple(at)] = 1.0
+        bn = bn.with_cpt(child, copy)
+    return bn
+
+
+class TestOneCalibratedPass:
+    """Past 2**14 cells the g-formula routes and the variance routes read all
+    their family tables from one calibrated pass: each answers as one
+    contraction per family does within 1e-12, or raises the same error at
+    the same cell."""
+
+    def test_routes_match_per_family_reads(self, monkeypatch):
+        seen = set()
+        for k in range(24):
+            bn = _law_with_hole(k)
+            g = bn.graph
+            red = reduce(g).output
+            o = classify(g).o
+            pairs = [
+                (route, partial(g_formula_per_family, bn, graph, 1))
+                for graph in (g, red)
+                for route in (
+                    partial(g_functional_for_graph, bn, graph, 1),
+                    partial(evaluate, derive_gformula(graph), bn, 1),
+                )
+            ] + [(
+                lambda: adjustment_exact(bn, o, 1),
+                lambda: g_formula_per_family(bn, functionals._adjustment_graph(g, o), 1),
+            )]
+            variances = [lambda: eif_variance(bn, 1), lambda: eif_variance_for_graph(bn, red, 1)]
+            got = [_outcome(route) for route, _ in pairs] + [_outcome(v) for v in variances]
+            want = [_outcome(oracle) for _, oracle in pairs]
+            # the variance routes' reference is their dense branch, which
+            # sums every family's table from the law over the support
+            with monkeypatch.context() as m:
+                m.setattr(functionals, "_DENSE_CELLS", 2**20)
+                want += [_outcome(v) for v in variances]
+            for i, (x, y) in enumerate(zip(got, want)):
+                if isinstance(y, float):
+                    assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (k, i, x, y)
+                else:
+                    assert type(x) is type(y) and x.cell == y.cell, (k, i, x, y)
+                seen.add(type(x))
+        assert seen == {float, PositivityError, ZeroConditioningEvent}
+
+    def test_identities_on_a_chained_graph(self):
+        # the paper's identities at the benchmark's scale: the covariate web
+        # with three covariate chains and two mediator chains, 84 vertices
+        g = _chained_web(14)
+        assert len(g.vertices) == 84
+        bn = random_law(g, {v: 2 for v in g.vertices}, seed=1, epsilon=0.02)
+        red = reduce(g).output
+        assert len(red.vertices) < 20
+        assert abs(g_functional_for_graph(bn, red, 1) - g_functional_exact(bn, 1)) <= 1e-12
+        assert abs(eif_variance(bn, 1) - eif_variance_for_graph(bn, red, 1)) <= 1e-10
+
+
+def _chained_web(length: int) -> Dag:
+    """The covariate web with a chain of ``length`` covariates feeding each
+    of W1, W3 and W6, which reduction removes, and two mediator chains of
+    ``length`` vertices hanging off A, each vertex a child of A, that end in
+    a vertex E_k, a parent of Y: the shape of the benchmark's chained
+    graphs, 12 + 5 * length + 2 vertices."""
+    web = golden("covariate_web")
+    vertices, edges = list(web.vertices), list(web.edges)
+    for c, target in enumerate(("W1", "W3", "W6")):
+        chain = [f"C{c}_{k}" for k in range(length)]
+        vertices += chain
+        edges += list(zip(chain[1:], chain)) + [(chain[0], target)]
+    for c in range(2):
+        chain = [f"D{c}_{k}" for k in range(length)] + [f"E{c}"]
+        vertices += chain
+        edges += list(zip(chain, chain[1:])) + [("A", v) for v in chain] + [(chain[-1], "Y")]
+    return Dag(vertices, edges, "A", "Y")
 
 
 # -- the variance bound as a sum of per-family terms ----------------------------
