@@ -100,7 +100,7 @@ def _cmd_reduce(args) -> int:
     report = reduce(g)
     sys.stdout.write(format_graph(report.output))
     if args.report:
-        tax = classify(g)
+        tax = report.taxonomy
         payload = {
             "input": bnmod.graph_to_json(report.input),
             "output": bnmod.graph_to_json(report.output),

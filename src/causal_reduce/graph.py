@@ -345,14 +345,22 @@ def d_separated(
     ``x \\ z`` vs ``y \\ z`` given ``z``; an empty side is separated by
     convention.  Overlapping x/y (after the rewrite) are d-connected.
 
+    The labels are checked and turned into masks here; the ball itself is
+    :func:`_separated`, which the criteria call on masks directly.
+    """
+    zm = _bits(g, z)
+    return _separated(g, _bits(g, x) & ~zm, _bits(g, y) & ~zm, zm)
+
+
+def _separated(g: Dag, xm: int, ym: int, zm: int) -> bool:
+    """d-separation of the masks ``xm`` and ``ym`` given ``zm``, both sides
+    already disjoint from ``zm``.
+
     Bayes-ball reachability (Shachter 1998) over the graph's bitmasks, in
     the form that turns a ball entering An(z) from a parent back up: the
     ball moves one whole frontier at a time, held as two masks, the vertices
     entered from a child and those entered from a parent.
     """
-    zm = _bits(g, z)
-    xm = _bits(g, x) & ~zm
-    ym = _bits(g, y) & ~zm
     if not xm or not ym:
         return True
     if xm & ym:

@@ -33,12 +33,14 @@ class ReductionReport:
     """Audit trail of a reduction: each removal records the vertex, why it
     was removed (N, I, W-criterion or M-criterion) and the child ordering
     used for the projection (empty for N/I removals); ``verdicts`` maps each
-    W \\ O and M \\ {Y} vertex to its verdict, kept ones included."""
+    W \\ O and M \\ {Y} vertex to its verdict, kept ones included, and
+    ``taxonomy`` is the input's classification that the reduction read."""
 
     input: Dag
     output: Dag
     removed: tuple[tuple[str, str, tuple[str, ...]], ...]
     verdicts: dict[str, CriterionVerdict] = field(hash=False)
+    taxonomy: Taxonomy
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ def reduce(g: Dag, *, order: Iterable[str] | None = None) -> ReductionReport:
             pi += (g.treatment,)
         steps.append(_eliminate(pa, ch, v, pi))
         removed.append((v, "W-criterion" if v in tax.w else "M-criterion", pi))
-    return ReductionReport(g, _dag(g, pa, steps), tuple(removed), verdicts)
+    return ReductionReport(g, _dag(g, pa, steps), tuple(removed), verdicts, tax)
 
 
 def latent_projection(g: Dag, keep: Iterable[str]) -> LatentProjectionView:

@@ -1,10 +1,12 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from causal_reduce import taxonomy
 from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
 from causal_reduce.cli import main
 from causal_reduce.formula import derive_gformula, render
@@ -126,6 +128,20 @@ class TestReduce:
         assert sorted(removed + kept) == sorted(report["input"]["vertices"])
         assert kept == report["output"]["vertices"]
         assert all(k["reason"] for k in report["kept"])
+
+    def test_report_classifies_the_input_once(self, capsys, monkeypatch, motivating_file, tmp_path):
+        original, calls = taxonomy.classify, []
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("causal_reduce") and getattr(module, "classify", None) is original:
+                monkeypatch.setattr(module, "classify", counted)
+        argv = ["reduce", "--graph", motivating_file, "--report", str(tmp_path / "report.json")]
+        assert run(capsys, argv)[0] == 0
+        assert len(calls) == 1
 
     def test_stdout_is_pinned(self, capsys, tmp_path):
         # three I vertices, declared against their elimination order, and
