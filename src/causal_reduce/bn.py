@@ -7,11 +7,11 @@ whose last axis is the vertex's own state, so a row ``cpt[parent_state]`` is
 a distribution over the vertex.  Exact quantities come from :func:`contract`,
 which multiplies CPT factors and sums them down to only the vertices a query
 needs.  A product of at most ``_DENSE_CELLS`` (2**14) cells is formed in one
-``np.einsum`` call; a larger one is eliminated one variable at a time, and
-``ENUMERATION_LIMIT`` (10**7 cells) bounds the largest table formed on the
-way.  :func:`contract_each` gives the tables of several scopes from one
-product, calibrated once by Shafer-Shenoy messages over its elimination
-cliques.
+``np.einsum`` call.  Any other goes to :func:`contract_each`, the one
+elimination: it gives the tables of one or several scopes from one product,
+calibrated once by Shafer-Shenoy messages over its elimination cliques, and
+refuses before forming any table when a clique is past
+``ENUMERATION_LIMIT`` (10**7 cells).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 ENUMERATION_LIMIT = 10_000_000
 
 # A product of at most this many cells is formed whole: contract takes it in
-# one np.einsum call instead of eliminating one variable at a time, and the
+# one np.einsum call instead of contract_each's clique tree, and the
 # exact layer sums each family's table from the dense law over the vertices
 # a computation reads (the influence function's support U in
 # EifContext.build, a g-formula's labels in _g_formula) instead of reading
@@ -56,8 +56,9 @@ ENUMERATION_LIMIT = 10_000_000
 # eif_variance call on a 2-core x86 box (numpy 2.4), the two cross between
 # 7 776 and 11 664 cells on a 10-vertex U and near 6 912 on an 11-vertex U.
 # For contract, one einsum call up to 2**14 cells made a pass over
-# exact_small's items 0.75 as long as elimination, level on exact_large and
-# simulate; 2**16 was slower on exact_large.  CHANGES.md has the timings.
+# exact_small's items 0.75 as long as variable elimination, level on
+# exact_large and simulate; 2**16 was slower on exact_large.  CHANGES.md
+# has the timings.
 _DENSE_CELLS = 2**14
 
 _ROW_SUM_TOL = 1e-12
@@ -193,13 +194,13 @@ def _broadcast_factor(
 def _product(
     factors: Sequence[AxesTable], cards: Mapping[str, int], axes: Sequence[str]
 ) -> np.ndarray:
-    """Dense product of ``factors`` over ``axes``, refused past the guard."""
-    shape = tuple(cards[v] for v in axes)
-    check_enumerable(shape)
+    """Dense product of ``factors`` over ``axes``, each of which some factor
+    names, refused past the guard."""
+    check_enumerable(cards[v] for v in axes)
     total = np.ones(())
     for factor_axes, table in factors:
         total = total * _broadcast_factor(axes, cards, factor_axes, table)
-    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
+    return total
 
 
 def _einsum(
@@ -230,19 +231,15 @@ def contract(
     factors: Iterable[AxesTable], cards: Mapping[str, int], keep: Sequence[str]
 ) -> np.ndarray:
     """Product of ``factors`` summed down to ``keep``, distinct vertices,
-    one axis per kept vertex in that order; never a view of a factor's
-    table.
+    one axis per kept vertex in that order; a fresh array, never a view of
+    a factor's table.
 
     A product of at most ``_DENSE_CELLS`` (2**14) cells over every factor
     axis and every kept vertex is formed in one ``np.einsum`` call
-    (:func:`_einsum`).  A larger one, or one past einsum's limits of 52
-    labels and 31 operands, goes by variable elimination: each step takes
-    the summed-out vertex with the fewest neighbours in the factors'
-    interaction graph (ties in order of first appearance), multiplies the
-    factors that mention it by broadcasting, and sums out it and every
-    other summed-out vertex that no remaining factor mentions.  Every table
-    elimination forms, the result included, is checked against
-    ``ENUMERATION_LIMIT``.
+    (:func:`_einsum`).  Any other, larger or past einsum's limits of 52
+    labels and 31 operands, is ``contract_each(factors, cards, [keep])``:
+    its one scope is the root clique, and every other vertex is eliminated
+    by the fewest-neighbours rule.
     """
     factors = list(factors)
     named = dict.fromkeys([v for axes, _ in factors for v in axes])
@@ -250,29 +247,15 @@ def contract(
     if _fits_einsum(labels, len(factors) + len(labels) - len(named), cards):
         ones = [((v,), np.ones(cards[v])) for v in keep if v not in named]
         return _einsum(factors + ones, cards, keep, dict(zip(labels, range(len(labels)))))
-    kept = set(keep)
-    nbrs: dict[str, set[str]] = {}  # summed-out vertex -> its neighbours
-    for axes, _ in factors:
-        for v in axes:
-            if v not in kept:
-                nbrs.setdefault(v, set()).update(axes)
-    while nbrs:
-        v = min(nbrs, key=lambda u: len(nbrs[u]))
-        bucket = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        left = kept.union(*(f_axes for f_axes, _ in factors))
-        axes = tuple(dict.fromkeys(u for f_axes, _ in bucket for u in f_axes))
-        gone = [u for u in axes if u not in left]
-        out = tuple(u for u in axes if u in left)
-        for u in gone:
-            del nbrs[u]
-        for u in out:
-            if u in nbrs:
-                nbrs[u].difference_update(gone)
-                nbrs[u].update(out)
-        table = bucket[0][1] if len(bucket) == 1 else _product(bucket, cards, axes)
-        factors.append((out, table.sum(axis=tuple(axes.index(u) for u in gone))))
-    return _product(factors, cards, tuple(keep))
+    return contract_each(factors, cards, [keep])[0]
+
+
+def _sum_down(table: np.ndarray, axes: Sequence[str], keep: Sequence[str]) -> np.ndarray:
+    """``table`` (axes ``axes``) summed down to ``keep``, axes in that
+    order; a fresh array, as a sum over no axis copies."""
+    table = table.sum(axis=tuple(i for i, v in enumerate(axes) if v not in keep))
+    rest = [v for v in axes if v in keep]
+    return np.asarray(table).transpose([rest.index(v) for v in keep])
 
 
 def contract_each(
@@ -283,24 +266,26 @@ def contract_each(
     its scope in that order.
 
     Every factor's axes and every scope form a clique of the interaction
-    graph, and every vertex is eliminated by :func:`contract`'s rule
-    (fewest neighbours first, ties in order of first appearance).  Vertex
-    v's clique is v and its neighbours when it goes; the clique's parent is
-    that of the first vertex of its separator (the clique without v) to go,
-    and a clique with an empty separator hangs from one root of no
-    vertices.  Each factor and each scope sits at the clique of its
-    first-eliminated vertex.  Shafer-Shenoy messages run up the tree in
-    elimination order and down it in reverse, each the product of a
-    clique's own factors and of every message into it but the receiver's,
-    summed down to the separator; a message goes down only to a subtree
-    that holds a scope.  A scope's table is its clique's factors and every
-    message into it, summed down to the scope, and a scope within a wider
-    one is summed from that one's table instead, where every vertex summed
-    is one that some factor names.  Nothing is divided, so a null event
-    stays an exact 0.  Every clique is checked against
-    ``ENUMERATION_LIMIT`` before any message is formed; a product within
-    :func:`_fits_einsum` over its clique is one :func:`_einsum` call and
-    any other goes through :func:`contract`.
+    graph.  The vertices in every scope form the root clique and are never
+    eliminated; each other vertex is, fewest neighbours first (ties in
+    order of first appearance), so one scope gives variable elimination
+    down to it.  Vertex v's clique is v and its neighbours when it goes;
+    its parent is the clique of the first vertex of its separator (the
+    clique without v) to go, or the root.  Each factor and each scope sits
+    at the clique of its first-eliminated vertex, or at the root.
+    Shafer-Shenoy messages run up the tree in elimination order and down
+    it in reverse, each the product of a clique's own factors and of every
+    message into it but the receiver's, summed down to the separator; a
+    message goes down only to a subtree that holds a scope.  A scope's
+    table is its clique's factors and every message into it, summed down
+    to the scope, and a scope within a wider one is summed from that one's
+    table instead, where every vertex summed is one that some factor
+    names.  Nothing is divided, so a null event stays an exact 0.  Every
+    clique, the root included, is checked against ``ENUMERATION_LIMIT``
+    before any table is formed.  A product within :func:`_fits_einsum`
+    over its clique is one :func:`_einsum` call, and any other the
+    broadcast :func:`_product` over the clique's vertices its operands
+    name, summed down.
     """
     factors = list(factors)
     scopes = [tuple(s) for s in scopes]
@@ -309,21 +294,26 @@ def contract_each(
         for v in axes:
             nbrs.setdefault(v, set()).update(axes)
     first = {v: i for i, v in enumerate(nbrs)}  # order of first appearance
-    step: dict[str, int] = {}  # vertex -> its clique, numbered in elimination order
+    sets = [set(s) for s in scopes]
+    common = set.intersection(*sets) if sets else set()
+    for v in common:
+        del nbrs[v]
+    root = len(nbrs)  # the root clique: the vertices of every scope
+    step = dict.fromkeys(common, root)  # vertex -> its clique, numbered in elimination order
     cliques: list[tuple[str, ...]] = []
     while nbrs:
         v = min(nbrs, key=lambda u: len(nbrs[u]))
         around = nbrs.pop(v)
         around.discard(v)
         for u in around:
-            nbrs[u].discard(v)
-            nbrs[u].update(around)
+            if u in nbrs:
+                nbrs[u].discard(v)
+                nbrs[u].update(around)
         step[v] = len(cliques)
         cliques.append((v, *sorted(around, key=first.__getitem__)))
+    cliques.append(tuple(v for v in first if v in common))
     for clique in cliques:
         check_enumerable(cards[v] for v in clique)
-    root = len(cliques)  # the root clique, of no vertices
-    cliques.append(())
 
     def home(axes: Sequence[str]) -> int:
         return min((step[v] for v in axes), default=root)
@@ -338,7 +328,6 @@ def contract_each(
     # the scopes formed at their cliques, widest first, and the one each
     # other scope is summed from
     named = {v for axes, _ in factors for v in axes}
-    sets = [set(s) for s in scopes]
     formed: list[int] = []
     source: dict[int, int] = {}
     for k in sorted(range(len(scopes)), key=lambda k: -len(scopes[k])):
@@ -352,10 +341,13 @@ def contract_each(
     at = [home(scopes[k]) for k in formed]
 
     def sum_product(i: int, ops: list[AxesTable], keep: Sequence[str]) -> np.ndarray:
+        # every vertex of keep is one that ops name
         clique = cliques[i]
         if _fits_einsum(clique, len(ops), cards):
             return _einsum(ops, cards, keep, dict(zip(clique, range(len(clique)))))
-        return contract(ops, cards, keep)
+        names = {v for axes, _ in ops for v in axes}
+        axes = [v for v in clique if v in names]
+        return _sum_down(_product(ops, cards, axes), axes, keep)
 
     up: list[list[AxesTable]] = []  # the message out of each clique, [] for 1
     down: list[list[AxesTable]] = [[] for _ in cliques]  # the message into each
@@ -389,10 +381,7 @@ def contract_each(
         ops += [((v,), np.ones(cards[v])) for v in scopes[k] if v not in names]
         tables[k] = sum_product(i, ops, scopes[k])
     for k, j in source.items():
-        wide, scope = scopes[j], scopes[k]
-        rest = [v for v in wide if v in scope]
-        table = tables[j].sum(axis=tuple(i for i, v in enumerate(wide) if v not in scope))
-        tables[k] = np.asarray(table).transpose([rest.index(v) for v in scope])
+        tables[k] = _sum_down(tables[j], scopes[j], scopes[k])
     return [tables[k] for k in range(len(scopes))]
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: ``causal-reduce <subcommand>``.
 
-Exit codes: 0 on success, 2 on input errors (files, parsing, flags), 3 when
-the ancestry assumption or positivity fails.
+Exit codes: 0 on success, 2 on input errors (files, parsing, flags, a
+size too large to allocate), 3 when the ancestry assumption or positivity
+fails.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AssumptionViolation, bnmod.PositivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

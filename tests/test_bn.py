@@ -150,7 +150,7 @@ def factor_sets(draw, past_dense):
 
 class TestContract:
     """``contract`` against the dense oracle, on both sides of the 2**14-cell
-    rule that chooses one einsum call or variable elimination."""
+    rule that chooses one einsum call or ``contract_each``'s clique tree."""
 
     @pytest.mark.parametrize("past_dense", [False, True])
     @given(data=st.data())
@@ -161,8 +161,7 @@ class TestContract:
         want = contract_dense(factors, cards, keep)
         assert got.shape == tuple(cards[v] for v in keep)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        # elimination sums down to a numpy scalar when nothing is kept
-        assert got.flags.writeable or (not keep and np.isscalar(got))
+        assert isinstance(got, np.ndarray) and got.flags.writeable
         assert not any(np.shares_memory(got, table) for _, table in factors)
 
     def test_one_factor_result_is_a_fresh_array(self):
@@ -278,11 +277,12 @@ class TestContractEach:
         many += [((u, v), rng.random((2, 2)) + 0.5) for u, v in zip(names[3:], names[4:])]
         many_scopes = [names, ["v7", "v2"], []]
         contracted = []
+        product = bn_module._product
         def recorded(*args):
             contracted.append(args)
-            return contract(*args)
+            return product(*args)
 
-        monkeypatch.setattr(bn_module, "contract", recorded)
+        monkeypatch.setattr(bn_module, "_product", recorded)
         for factors, cards, scopes in (
             (wide, wide_cards, wide_scopes), (many, {v: 2 for v in names}, many_scopes)
         ):
@@ -293,18 +293,39 @@ class TestContractEach:
 
     def test_past_the_enumeration_limit_raises_before_any_table(self, monkeypatch):
         # a complete graph of pair factors over 24 binary vertices: its first
-        # clique has 2**24 cells, past the limit
+        # clique has 2**24 cells, past the limit; a chain a, a-b, b-v0 hung
+        # on it gives contract two small cliques to take first, as it does
+        # below a root clique of all 24 kept vertices
         names = [f"v{i}" for i in range(24)]
-        cards = {v: 2 for v in names}
+        cards = {v: 2 for v in names + ["a", "b"]}
         clique = [((u, v), np.full((2, 2), 0.5)) for i, u in enumerate(names) for v in names[:i]]
+        chain = [(("a",), np.full(2, 0.5)), (("a", "b"), np.full((2, 2), 0.5))]
+        chain.append((("b", "v0"), np.full((2, 2), 0.5)))
 
         def formed(*args, **kwargs):
             raise AssertionError("a table was formed")
 
         monkeypatch.setattr(bn_module, "_einsum", formed)
-        monkeypatch.setattr(bn_module, "contract", formed)
+        monkeypatch.setattr(bn_module, "_product", formed)
         with pytest.raises(EnumerationLimitError):
             contract_each(clique, cards, [["v0"], ["v3", "v5"]])
+        for factors, keep in ((chain + clique, []), (chain + clique, ["v3"]), (chain, names)):
+            with pytest.raises(EnumerationLimitError):
+                contract(factors, cards, keep)
+
+    def test_a_vertex_in_every_scope_is_the_root(self):
+        # as the influence function's stacked axis: s lies in every scope
+        # and in one factor on a chain of 10 ternary vertices, 3**10 * 2
+        # cells in all, so s is the root clique and is never eliminated
+        names = [f"v{i}" for i in range(10)]
+        cards = {**{v: 3 for v in names}, "s": 2}
+        assert math.prod(cards.values()) > 2**14
+        rng = np.random.default_rng(6)
+        factors = [((u, v), rng.random((3, 3))) for u, v in zip(names, names[1:])]
+        factors.append((("s", "v2", "v7"), rng.random((2, 3, 3))))
+        scopes = [["s", "v0", "v1"], ["v5", "s"], ["s", "v9", "v8", "v6"], ["s"]]
+        for scope, table in zip(scopes, contract_each(factors, cards, scopes)):
+            np.testing.assert_allclose(table, contract_dense(factors, cards, scope), rtol=1e-12)
 
 
 class TestRandomLaw:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from causal_reduce import taxonomy
+from causal_reduce import simulate, taxonomy
 from causal_reduce.bn import bn_to_json, random_law, sample, save_bn, dataset_to_csv
 from causal_reduce.cli import main
 from causal_reduce.formula import derive_gformula, render
@@ -665,3 +665,14 @@ class TestSimulate:
         code, out, err = run(capsys, ["simulate", flag, "0"])
         assert code == 2 and out == ""
         assert "n and replications must be >= 1" in err
+
+    def test_a_size_past_memory_is_an_input_error(self, capsys, monkeypatch):
+        # numpy raises MemoryError for an allocation it cannot make; no real
+        # allocation is tried, since an overcommitting host would grant it
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 43.7 TiB for an array")
+
+        monkeypatch.setattr(simulate, "sample", too_big)
+        code, out, err = run(capsys, ["simulate", "--n", "1000000000000", "--reps", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: Unable to allocate")
