@@ -147,11 +147,13 @@ def project_vertex(g: Dag, vi: str, pi: Sequence[str]) -> Dag:
 def reduce(g: Dag, *, order: Iterable[str] | None = None) -> ReductionReport:
     """Run the full reduction and return a :class:`ReductionReport`.
 
-    ``g`` is classified and its vertices are judged once; no projection
-    changes the taxonomy or the verdicts of the vertices left.  After N and
-    I, the vertices whose criterion holds are eliminated one at a time, in
-    declaration order by default or in ``order`` (the output does not depend
-    on it), and one :class:`Dag` is built at the end.
+    ``g`` is classified once, and :func:`criterion_verdicts` judges each of
+    its W \\ O and M \\ {Y} vertices once, on the graph its pass has reduced
+    so far; no projection changes the taxonomy or the verdicts of the
+    vertices left, so the report's verdicts and chains describe ``g``.
+    After N and I, the vertices whose criterion holds are eliminated one at
+    a time, in declaration order by default or in ``order`` (the output
+    does not depend on it), and one :class:`Dag` is built at the end.
     """
     tax = classify(g)
     verdicts = criterion_verdicts(g, tax)

@@ -174,6 +174,103 @@ def random_dag(rng: np.random.Generator, n: int, p_edge: float = 0.4,
     return Dag(labels, edges, treatment, outcome)
 
 
+def chained_dag(rng: np.random.Generator, core: int, w_chains: int, m_chains: int,
+                length: int, sides: int = 0) -> Dag:
+    """A random core of ``core`` vertices with chains of 1 to ``length``
+    vertices grown onto it:
+
+    - ``w_chains`` covariate chains ``C_k -> ... -> C_1`` into core covariates;
+    - ``m_chains`` mediator chains ``D_1 -> ... -> D_k -> E -> Y`` off a
+      source, the treatment or a core mediator, that is a parent of every
+      chain vertex;
+    - ``sides`` side chains ``I_k -> ... -> I_1 -> A`` of I vertices, whose
+      head takes a covariate parent half the time, and as many chains
+      ``N_1 -> ... -> N_k`` of N vertices off any vertex.  A side chain may
+      hang off a chain vertex that the reduction removes.
+
+    The library's taxonomy of the core chooses where the chains attach.
+    """
+    from causal_reduce.taxonomy import classify
+
+    g = random_dag(rng, core, 0.4, ensure_assumption=True)
+    tax = classify(g)
+    a, y = g.treatment, g.outcome
+    vertices, edges = list(g.vertices), list(g.edges)
+    covariates = [v for v in vertices if v in tax.w] or [a]
+    mediators = [v for v in vertices if v in tax.m - {y}]
+    for c in range(w_chains):
+        prev = covariates[rng.integers(len(covariates))]
+        for k in range(int(rng.integers(1, length + 1))):
+            vertices.append(f"C{c}_{k}")
+            edges.append((vertices[-1], prev))
+            prev = vertices[-1]
+    for c in range(m_chains):
+        source = mediators[rng.integers(len(mediators))] if mediators and rng.random() < 0.5 else a
+        prev = source
+        for k in range(int(rng.integers(1, length + 1))):
+            vertices.append(f"D{c}_{k}")
+            edges.append((prev, vertices[-1]))
+            if prev != source:
+                edges.append((source, vertices[-1]))
+            prev = vertices[-1]
+        vertices.append(f"E{c}")
+        edges += [(prev, f"E{c}"), (source, f"E{c}"), (f"E{c}", y)]
+    covariates = [v for v in vertices if v in tax.w or v.startswith("C")]
+    for c in range(sides):
+        prev = a
+        for k in range(int(rng.integers(1, length + 1))):
+            vertices.append(f"I{c}_{k}")
+            edges.append((vertices[-1], prev))
+            prev = vertices[-1]
+        if covariates and rng.random() < 0.5:
+            edges.append((covariates[rng.integers(len(covariates))], prev))
+        prev = vertices[rng.integers(len(vertices))]
+        for k in range(int(rng.integers(1, length + 1))):
+            vertices.append(f"N{c}_{k}")
+            edges.append((prev, vertices[-1]))
+            prev = vertices[-1]
+    return Dag(vertices, edges, a, y)
+
+
+def criterion_verdicts_reference(g: Dag, tax) -> dict:
+    """The verdict of every vertex of W \\ O and of M \\ {Y}, in declaration
+    order, each judged by its criterion's definition on the label sets of
+    ``g``, with ``d_separated_moral`` for separation."""
+    from causal_reduce.criteria import CriterionVerdict
+
+    groups = (
+        (tax.w - tax.o, tax.w, tax.o),
+        (tax.m - {g.outcome}, tax.m, frozenset({g.treatment, g.outcome}) | tax.o_min),
+    )
+
+    def judge(v, group, targets):
+        chain = g.sort_topologically(g.children(v) & group)
+
+        def separated(x, z):
+            return d_separated_moral(g, set(x) - set(z), targets, z)
+
+        last = chain[-1]
+        if not separated({v}, {last} | (g.parents(last) - {v})):
+            return CriterionVerdict(v, False, "i", None, chain)
+        prev = v
+        for t, cur in enumerate(chain, start=1):
+            if not g.has_edge(prev, cur):
+                return CriterionVerdict(v, False, "ii_a", t, chain)
+            if not g.parents(cur) <= g.parents(prev) | {prev}:
+                return CriterionVerdict(v, False, "ii_b", t, chain)
+            if not separated(g.parents(prev) - g.parents(cur), g.parents(cur)):
+                return CriterionVerdict(v, False, "ii_c", t, chain)
+            prev = cur
+        return CriterionVerdict(v, True, None, None, chain)
+
+    return {
+        v: judge(v, group, targets)
+        for v in g.vertices
+        for members, group, targets in groups
+        if v in members
+    }
+
+
 def reduce_rechecking(g: Dag, order=None):
     """The reduction loop that re-classifies the current graph and re-runs
     the visited vertex's criterion on it before every projection.

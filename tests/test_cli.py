@@ -165,6 +165,112 @@ class TestReduce:
         assert code == 3
 
 
+# a covariate chain C0_1 -> C0_0, a mediator chain off V1 through D0_0 and
+# E0, and I and N side chains; the criteria pass projects C0_1 and D0_0 out
+# before judging C0_0 and E0, whose verdicts are judged again on the input
+CHAINED_TEXT = """\
+!treatment V0
+!outcome V4
+V0
+V1
+V2
+V3
+V4
+C0_0
+C0_1
+C1_0
+D0_0
+E0
+I0_0
+I0_1
+N0_0
+N0_1
+V0 -> V3
+V3 -> V1
+V2 -> V1
+V1 -> V4
+V0 -> V4
+C0_0 -> V2
+C0_1 -> C0_0
+C1_0 -> V2
+V1 -> D0_0
+D0_0 -> E0
+V1 -> E0
+E0 -> V4
+I0_0 -> V0
+I0_1 -> I0_0
+V3 -> N0_0
+N0_0 -> N0_1
+"""
+
+CHAINED_STDOUT = """\
+!treatment V0
+!outcome V4
+V0
+V1
+V2
+V3
+V4
+C0_0
+C1_0
+E0
+V0 -> V3
+V3 -> V1
+V2 -> V1
+V1 -> V4
+V0 -> V4
+C0_0 -> V2
+C1_0 -> V2
+V1 -> E0
+E0 -> V4
+"""
+
+CHAINED_REPORT = json.loads("""\
+{"input": {"vertices": ["V0", "V1", "V2", "V3", "V4", "C0_0", "C0_1", "C1_0", "D0_0",
+"E0", "I0_0", "I0_1", "N0_0", "N0_1"], "edges": [["V0", "V3"], ["V3", "V1"], ["V2",
+"V1"], ["V1", "V4"], ["V0", "V4"], ["C0_0", "V2"], ["C0_1", "C0_0"], ["C1_0", "V2"],
+["V1", "D0_0"], ["D0_0", "E0"], ["V1", "E0"], ["E0", "V4"], ["I0_0", "V0"], ["I0_1",
+"I0_0"], ["V3", "N0_0"], ["N0_0", "N0_1"]], "treatment": "V0", "outcome": "V4"},
+"output": {"vertices": ["V0", "V1", "V2", "V3", "V4", "C0_0", "C1_0", "E0"],
+"edges": [["V0", "V3"], ["V3", "V1"], ["V2", "V1"], ["V1", "V4"], ["V0", "V4"],
+["C0_0", "V2"], ["C1_0", "V2"], ["V1", "E0"], ["E0", "V4"]], "treatment": "V0",
+"outcome": "V4"}, "removed": [{"vertex": "I0_0", "reason": "I", "pi": []},
+{"vertex": "I0_1", "reason": "I", "pi": []}, {"vertex": "N0_0", "reason": "N",
+"pi": []}, {"vertex": "N0_1", "reason": "N", "pi": []}, {"vertex": "C0_1",
+"reason": "W-criterion", "pi": ["C0_0"]}, {"vertex": "D0_0", "reason": "M-criterion",
+"pi": ["E0"]}], "kept": [{"vertex": "V0", "reason": "treatment"}, {"vertex": "V1",
+"reason": "M-criterion fails clause ii_c at t=1"}, {"vertex": "V2",
+"reason": "in O: parent of mediator V1"}, {"vertex": "V3",
+"reason": "M-criterion fails clause i"}, {"vertex": "V4", "reason": "outcome"},
+{"vertex": "C0_0", "reason": "W-criterion fails clause ii_b at t=1"},
+{"vertex": "C1_0", "reason": "W-criterion fails clause ii_b at t=1"},
+{"vertex": "E0", "reason": "M-criterion fails clause ii_b at t=1"}],
+"verdicts": [{"vertex": "V1", "set": "M", "satisfied": false,
+"failed_clause": "ii_c", "failed_index": 1, "chain": ["D0_0", "E0", "V4"]},
+{"vertex": "V3", "set": "M", "satisfied": false, "failed_clause": "i",
+"failed_index": null, "chain": ["V1"]}, {"vertex": "C0_0", "set": "W",
+"satisfied": false, "failed_clause": "ii_b", "failed_index": 1, "chain": ["V2"]},
+{"vertex": "C0_1", "set": "W", "satisfied": true, "failed_clause": null,
+"failed_index": null, "chain": ["C0_0"]}, {"vertex": "C1_0", "set": "W",
+"satisfied": false, "failed_clause": "ii_b", "failed_index": 1, "chain": ["V2"]},
+{"vertex": "D0_0", "set": "M", "satisfied": true, "failed_clause": null,
+"failed_index": null, "chain": ["E0"]}, {"vertex": "E0", "set": "M",
+"satisfied": false, "failed_clause": "ii_b", "failed_index": 1, "chain": ["V4"]}]}
+""")
+
+
+class TestChainedGraph:
+    def test_check_and_report_are_pinned(self, capsys, tmp_path):
+        path, check, report = (tmp_path / name for name in ("g.graph", "check.json", "report.json"))
+        path.write_text(CHAINED_TEXT)
+        assert run(capsys, ["check", "--graph", str(path), "--json", str(check)])[0] == 0
+        assert json.loads(check.read_text()) == CHAINED_REPORT["verdicts"]
+        code, out, _ = run(capsys, ["reduce", "--graph", str(path), "--report", str(report)])
+        assert code == 0
+        assert out == CHAINED_STDOUT
+        assert json.loads(report.read_text()) == CHAINED_REPORT
+
+
 class TestEquiv:
     def test_motivating_pair(self, capsys, tmp_path, motivating_file):
         other = tmp_path / "motivating_flipped.graph"

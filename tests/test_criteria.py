@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from causal_reduce import criteria
+from causal_reduce import criteria, graph
 from causal_reduce.bn import random_law
 from causal_reduce.criteria import (
     criterion_verdicts,
@@ -18,7 +18,13 @@ from causal_reduce.graph import Dag, parse_graph
 from causal_reduce.reduction import reduce
 from causal_reduce.taxonomy import classify
 from conftest import GOLDEN_TEXTS, golden
-from oracles import d_separated_moral, d_separated_oracle, random_dag
+from oracles import (
+    chained_dag,
+    criterion_verdicts_reference,
+    d_separated_moral,
+    d_separated_oracle,
+    random_dag,
+)
 
 
 class TestWCriterion:
@@ -199,77 +205,24 @@ class TestOrderInvariance:
                     assert got.chain == expected.chain
 
 
-# -- one answer table per group and pass ------------------------------------
+# -- one pass, judged on the graph reduced so far ----------------------------
 
-def _chained(rng, core: int, w_chains: int, m_chains: int, length: int) -> Dag:
-    """A random core with covariate chains ``C_k -> ... -> C_1`` into core
-    covariates and mediator chains ``D_1 -> ... -> D_k -> E -> Y`` off a
-    source, the treatment or a core mediator, that is a parent of every
-    chain vertex."""
-    g = random_dag(rng, core, 0.4, ensure_assumption=True)
-    tax = classify(g)
-    a, y = g.treatment, g.outcome
-    vertices, edges = list(g.vertices), list(g.edges)
-    covariates = [v for v in vertices if v in tax.w] or [a]
-    mediators = [v for v in vertices if v in tax.m - {y}]
-    for c in range(w_chains):
-        prev = covariates[rng.integers(len(covariates))]
-        for k in range(int(rng.integers(1, length + 1))):
-            vertices.append(f"C{c}_{k}")
-            edges.append((vertices[-1], prev))
-            prev = vertices[-1]
-    for c in range(m_chains):
-        source = mediators[rng.integers(len(mediators))] if mediators and rng.random() < 0.5 else a
-        prev = source
-        for k in range(int(rng.integers(1, length + 1))):
-            vertices.append(f"D{c}_{k}")
-            edges.append((prev, vertices[-1]))
-            if prev != source:
-                edges.append((source, vertices[-1]))
-            prev = vertices[-1]
-        vertices.append(f"E{c}")
-        edges += [(prev, f"E{c}"), (source, f"E{c}"), (f"E{c}", y)]
-    return Dag(vertices, edges, a, y)
+def _covariate_mediator_chain(length: int) -> Dag:
+    """A covariate chain C_L -> ... -> C_1 into W0, a confounder, and a
+    mediator chain A -> D_1 -> ... -> D_L -> E -> Y with A a parent of every
+    chain vertex.  On the input graph the clause (i) ball of C_j walks the
+    whole chain above it."""
+    cs = [f"C{k}" for k in range(1, length + 1)]
+    ds = [f"D{k}" for k in range(1, length + 1)]
+    edges = [("A", "Y"), ("W0", "A"), ("W0", "Y"), ("C1", "W0"), ("E", "Y"), ("A", "E")]
+    edges += [(cs[k + 1], cs[k]) for k in range(length - 1)]
+    edges += [("A", "D1")] + [(u, v) for u, v in zip(ds, ds[1:] + ["E"])]
+    edges += [("A", v) for v in ds[1:]]
+    return Dag(cs + ["W0", "A"] + ds + ["E", "Y"], edges, "A", "Y")
 
 
-def _groups(g: Dag, tax):
-    """(members, group, targets) of the W- and the M-criterion."""
-    yield "W", tax.w - tax.o, tax.w, tax.o
-    yield "M", tax.m - {g.outcome}, tax.m, frozenset({g.treatment, g.outcome}) | tax.o_min
-
-
-def _reference(g: Dag, v: str, group, targets, dsep):
-    """The criterion of ``v`` on label sets, with ``dsep`` for separation:
-    its verdict as a tuple and the (x, z) queries its clauses asked, with
-    their answers, x taken outside z."""
-    chain = g.sort_topologically(g.children(v) & group)
-    asked = []
-
-    def separated(x, z):
-        x, z = frozenset(x) - frozenset(z), frozenset(z)
-        asked.append((x, z, dsep(g, x, targets, z)))
-        return asked[-1][2]
-
-    def verdict(clause, t):
-        return (clause is None, clause, t, chain), asked
-
-    last = chain[-1]
-    if not separated({v}, {last} | (g.parents(last) - {v})):
-        return verdict("i", None)
-    prev = v
-    for t, cur in enumerate(chain, start=1):
-        if not g.has_edge(prev, cur):
-            return verdict("ii_a", t)
-        if not g.parents(cur) <= g.parents(prev) | {prev}:
-            return verdict("ii_b", t)
-        if not separated(g.parents(prev) - g.parents(cur), g.parents(cur)):
-            return verdict("ii_c", t)
-        prev = cur
-    return verdict(None, None)
-
-
-def _mask(g: Dag, labels) -> int:
-    return sum(1 << g.vertices.index(v) for v in labels)
+def _labels(g: Dag, m: int) -> set[str]:
+    return {v for i, v in enumerate(g.vertices) if m >> i & 1}
 
 
 def _tables(monkeypatch):
@@ -285,42 +238,63 @@ def _tables(monkeypatch):
     return seen
 
 
+def _balls(monkeypatch):
+    """Record every ball the criteria run: whether it ran on the input
+    graph, a copy of the parent masks it ran on, the query masks (x, y, z)
+    and the answer."""
+    runs = []
+    separated = criteria._separated
+
+    def recording(on, xm, ym, zm):
+        sep = separated(on, xm, ym, zm)
+        runs.append((isinstance(on, Dag), tuple(on._masks[0]), xm, ym, zm, sep))
+        return sep
+
+    monkeypatch.setattr(criteria, "_separated", recording)
+    return runs
+
+
 def _parity_corpus():
     rng = np.random.default_rng(2028)
     for _ in range(220):
         yield random_dag(rng, int(rng.integers(3, 11)), float(rng.uniform(0.2, 0.6)), ensure_assumption=True)
     for _ in range(30):
-        yield _chained(rng, int(rng.integers(4, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 3)), 6)
+        yield chained_dag(rng, int(rng.integers(4, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 3)), 6)
 
 
 class TestAnswerTables:
     def test_pass_matches_fresh_calls_and_the_oracle(self, monkeypatch):
         tables = _tables(monkeypatch)
+        balls = _balls(monkeypatch)
         kinds = Counter()
         for g in _parity_corpus():
             dsep = d_separated_oracle if len(g.vertices) <= 8 else d_separated_moral
             tax = classify(g)
             for group in tables.values():
                 group.clear()
+            balls.clear()
             verdicts = criterion_verdicts(g, tax)
-            for name, members, group, targets in _groups(g, tax):
-                fresh = w_criterion if name == "W" else m_criterion
+            want = criterion_verdicts_reference(g, tax)
+            assert list(verdicts) == list(want)
+            for v, verdict in verdicts.items():
+                fresh = w_criterion if v in tax.w else m_criterion
+                assert fresh(g, tax, v) == verdict
+                assert verdict == want[v]
+                kinds[verdict.failed_clause] += 1
+            # every ball of the pass, run on the graph reduced so far or on
+            # the input, gave the input graph's answer to its query, and so
+            # does every answer a table holds at the end
+            for _, _, xm, ym, zm, sep in balls:
+                assert sep is dsep(g, _labels(g, xm), _labels(g, ym), _labels(g, zm))
+            for name, targets in (("W", tax.o), ("M", {g.treatment, g.outcome} | tax.o_min)):
                 table = tables[name][0][0] if tables[name] else {}
-                for v in (v for v in g.vertices if v in members):
-                    verdict = verdicts[v]
-                    assert fresh(g, tax, v) == verdict
-                    want, asked = _reference(g, v, group, targets, dsep)
-                    assert (verdict.satisfied, verdict.failed_clause, verdict.failed_index, verdict.chain) == want
-                    # every answer a clause used is the oracle's on the same
-                    # label sets, and the table holds it under its masks
-                    for x, z, sep in asked:
-                        assert table[_mask(g, x), _mask(g, z)] is sep
-                    kinds[verdict.failed_clause] += 1
+                for (xm, zm), sep in table.items():
+                    assert sep is dsep(g, _labels(g, xm), targets, _labels(g, zm))
         assert set(kinds) == {None, "i", "ii_a", "ii_b", "ii_c"}
 
     def test_one_table_per_group_per_pass(self, monkeypatch):
         tables = _tables(monkeypatch)
-        g = _chained(np.random.default_rng(5), 6, 3, 2, 5)
+        g = chained_dag(np.random.default_rng(5), 6, 3, 2, 5)
         tax = classify(g)
         owners = []
         for _ in range(2):
@@ -336,51 +310,58 @@ class TestAnswerTables:
             owners += [w[0], m[0]]
             # the W table answers only queries against O
             for (xm, zm), sep in w[0].items():
-                x = {v for i, v in enumerate(g.vertices) if xm >> i & 1}
-                z = {v for i, v in enumerate(g.vertices) if zm >> i & 1}
-                assert sep == d_separated_moral(g, x, tax.o, z)
+                assert sep == d_separated_moral(g, _labels(g, xm), tax.o, _labels(g, zm))
         assert len({id(t) for t in owners}) == 4
 
     @pytest.mark.parametrize("length", [10, 20])
     def test_each_distinct_query_runs_the_ball_once(self, monkeypatch, length):
-        # a covariate chain C_L -> ... -> C_1 into W0, a confounder, and a
-        # mediator chain A -> D_1 -> ... -> D_L -> E -> Y with A a parent of
-        # every chain vertex: the clause (ii_c) query of each chain vertex
-        # but the top one is the clause (i) query of its parent
-        cs = [f"C{k}" for k in range(1, length + 1)]
-        ds = [f"D{k}" for k in range(1, length + 1)]
-        edges = [("A", "Y"), ("W0", "A"), ("W0", "Y"), ("C1", "W0"), ("E", "Y"), ("A", "E")]
-        edges += [(cs[k + 1], cs[k]) for k in range(length - 1)]
-        edges += [("A", "D1")] + [(u, v) for u, v in zip(ds, ds[1:] + ["E"])]
-        edges += [("A", v) for v in ds[1:]]
-        g = Dag(cs + ["W0", "A"] + ds + ["E", "Y"], edges, "A", "Y")
+        # every vertex but E leaves the working masks once judged, so each
+        # asks its clause (i) query and the clause (ii_c) query of its one
+        # chain vertex on a graph that no other vertex's queries saw; E fails
+        # at clause (ii_b) after its clause (i) ball, and is judged again on
+        # the input graph, since mediators left before it
+        g = _covariate_mediator_chain(length)
         tax = classify(g)
-
-        group = None
-        runs = Counter()
-        separated = criteria._separated
-
-        def counted(*args):
-            runs[group] += 1
-            return separated(*args)
-
-        monkeypatch.setattr(criteria, "_separated", counted)
-        for name in ("W", "M"):
-            fn = getattr(criteria, f"{name.lower()}_criterion")
-
-            def entered(*args, _name=name, _fn=fn, **kw):
-                nonlocal group
-                group = _name
-                return _fn(*args, **kw)
-
-            monkeypatch.setattr(criteria, f"{name.lower()}_criterion", entered)
+        balls = _balls(monkeypatch)
         verdicts = criterion_verdicts(g, tax)
         assert [v for v, d in verdicts.items() if not d.satisfied] == ["E"]
-        for name, members, grp, targets in _groups(g, tax):
-            asked = [
-                (_mask(g, x), _mask(g, z))
-                for v in g.vertices if v in members
-                for x, z, _ in _reference(g, v, grp, targets, d_separated_moral)[1]
-            ]
-            assert runs[name] == len(set(asked))
-            assert runs[name] <= len(asked) * 0.6
+        assert verdicts["E"].failed_clause == "ii_b"
+        assert len(set(balls)) == len(balls)
+        on_input = [ball for ball in balls if ball[0]]
+        assert len(on_input) == 1
+        satisfied = [d for d in verdicts.values() if d.satisfied]
+        assert len(balls) - len(on_input) == sum(1 + len(d.chain) for d in satisfied) + 1
+
+    def test_chain_balls_stay_short(self, monkeypatch):
+        # the covariate chain costs O(L) ball steps, where judging every
+        # vertex on the input graph costs O(L^2): count the frontier unions
+        unions = []
+        union = graph._union
+
+        def counted(masks, m):
+            unions.append(1)
+            return union(masks, m)
+
+        monkeypatch.setattr(graph, "_union", counted)
+        steps = []
+        for length in (10, 20, 40):
+            g = _covariate_mediator_chain(length)
+            tax = classify(g)
+            unions.clear()
+            criterion_verdicts(g, tax)
+            steps.append(len(unions))
+        assert steps[1] <= 2.5 * steps[0] and steps[2] <= 2.5 * steps[1], steps
+
+    def test_reports_the_chain_on_the_input_graph(self):
+        # V4 (chain V5, V3, V6) leaves first, which gives V5 the chain
+        # (V3, V6) on the working masks; the report keeps the input's
+        g = parse_graph(
+            "!treatment V1\n!outcome V2\n" + "".join(f"V{i}\n" for i in range(7))
+            + "V4 -> V5\nV4 -> V3\nV4 -> V6\nV5 -> V3\nV5 -> V1\nV3 -> V1\n"
+            + "V3 -> V6\nV3 -> V2\nV6 -> V2\nV0 -> V2\nV1 -> V2\n"
+        )
+        tax = classify(g)
+        verdicts = criterion_verdicts(g, tax)
+        assert verdicts["V4"].satisfied and verdicts["V4"].chain == ("V5", "V3", "V6")
+        assert verdicts["V5"] == w_criterion(g, tax, "V5")
+        assert verdicts["V5"].satisfied and verdicts["V5"].chain == ("V3",)

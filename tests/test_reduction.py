@@ -15,7 +15,13 @@ from causal_reduce.reduction import (
 )
 from causal_reduce.taxonomy import Taxonomy, classify
 from conftest import GOLDEN_TEXTS, golden
-from oracles import all_simple_paths, random_dag, reduce_rechecking
+from oracles import (
+    all_simple_paths,
+    chained_dag,
+    criterion_verdicts_reference,
+    random_dag,
+    reduce_rechecking,
+)
 
 
 class TestProjectOutNI:
@@ -221,7 +227,8 @@ class TestReduceProperties:
 
 
 class TestReduceAgainstRechecking:
-    """reduce judges every vertex once, on the input graph; the oracle
+    """reduce judges every vertex once, on the graph its criteria pass has
+    reduced so far, and reports the verdicts on the input graph; the oracle
     re-classifies and re-judges on the current graph before every step."""
 
     def _check(self, g, order=None):
@@ -230,6 +237,7 @@ class TestReduceAgainstRechecking:
         assert report.output == output
         assert report.removed == removed
         tax0 = classify(g)
+        assert report.verdicts == criterion_verdicts_reference(g, tax0)
         for cur, tax, verdict in steps:
             left = set(cur.vertices)
             none = frozenset()
@@ -248,6 +256,19 @@ class TestReduceAgainstRechecking:
             g = golden(name)
             self._check(g)
             self._check(g, list(reduce(g).verdicts)[::-1])
+
+    def test_chained_graphs(self, rng):
+        # covariate and mediator chains, the ones the criteria pass projects
+        # out one vertex at a time, with I and N side chains hanging off them
+        for _ in range(48):
+            g = chained_dag(
+                rng, int(rng.integers(4, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                int(rng.integers(2, 7)), int(rng.integers(1, 3)),
+            )
+            tax = classify(g)
+            assert tax.i and tax.n
+            self._check(g)
+            self._check(g, [str(v) for v in rng.permutation(list(reduce(g).verdicts))])
 
 
 class TestReduceCost:
