@@ -21,7 +21,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -162,6 +163,11 @@ class DiscreteBn:
 
     def parent_order(self, v: str) -> tuple[str, ...]:
         return self._parents[v]
+
+    @cached_property
+    def _draw(self) -> Callable[[int, int], Dataset]:
+        """:func:`sample`'s sampler, made on its first call and kept."""
+        return _sampler(self)
 
     def state_shape(self) -> tuple[int, ...]:
         return tuple(self.cards[v] for v in self.graph.vertices)
@@ -547,45 +553,63 @@ def sample(bn: DiscreteBn, n: int, seed: int) -> Dataset:
     in ceil(log2 k) steps.  The cumulative sums are the same float
     additions, in the same order, as those of the earlier sampler that
     gathered each row's CPT entries, so the rows for a seed are those of
-    every earlier release.
+    every earlier release.  The tables are formed once per network, by
+    :func:`_sampler`, and kept on it, so a later call only draws.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    return bn._draw(n, seed)
+
+
+def _sampler(bn: DiscreteBn) -> Callable[[int, int], Dataset]:
+    """:func:`sample`'s tables formed once for ``bn``; the returned
+    ``draw(n, seed)`` only draws."""
     at = {v: i for i, v in enumerate(bn.graph.vertices)}
-    data = np.empty((len(at), n), dtype=np.int64)
+    plan = []  # per vertex: its row, its parents' rows, their cards, then how it draws
     for v in topo_sort(bn.graph):
-        k = bn.cards[v]
-        table = bn.cpts[v]
+        k, table = bn.cards[v], bn.cpts[v]
         cum = np.cumsum(table.reshape(-1, k), axis=1)[:, : k - 1]
-        # each draw's row of ``cum``; None for a root
-        row = _flat_index([data[at[p]] for p in bn.parent_order(v)], table.shape[:-1])
-        u = rng.random(n)
-        out = data[at[v]]
-        if 1 < k <= (_COUNT_ROOT_STATES if row is None else _COUNT_CHILD_STATES):
-            for j in range(k - 1):
-                entry = cum[0, j] if row is None else cum[:, j].take(row)
-                if j:
-                    out += entry < u
-                else:  # the first comparison writes the count
-                    np.less(entry, u, out=out)
+        parents = [at[p] for p in bn.parent_order(v)]
+        if 1 < k <= (_COUNT_CHILD_STATES if parents else _COUNT_ROOT_STATES):
+            # the j-th entry of each row, contiguous; a scalar for a root
+            entries = [cum[:, j].copy() if parents else cum[0, j] for j in range(k - 1)]
+            plan.append((at[v], parents, table.shape[:-1], entries, 0, ()))
             continue
-        width = 1 << (k - 1).bit_length()
+        bits = (k - 1).bit_length()
+        width = 1 << bits
         padded = np.full((len(cum), width), np.inf)
         padded[:, : k - 1] = cum
         padded = padded.ravel()
-        if row is None:
-            out[:] = 0
-        else:
-            np.multiply(row, width, out=out)
-        step = width >> 1  # 0 for k = 1: its one state in no step
-        while step:
-            # padded[step - 1:][out] is padded[out + step - 1], the last entry
-            # of the next block of ``step``: jump past the block if it is below u
-            out += step * (padded[step - 1 :].take(out) < u)
-            step >>= 1
-        out &= width - 1  # the offset within the row's block of ``width``
-    return Dataset(tuple(bn.graph.vertices), data.T, dict(bn.cards))
+        # steps of width / 2 down to 1, none for k = 1: its one state;
+        # padded[step - 1:][out] is padded[out + step - 1], the last entry of
+        # the next block of ``step``
+        steps = [(1 << b, padded[(1 << b) - 1 :]) for b in reversed(range(bits))]
+        plan.append((at[v], parents, table.shape[:-1], None, width, steps))
+    columns, cards = tuple(bn.graph.vertices), dict(bn.cards)
+
+    def draw(n: int, seed: int) -> Dataset:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        rng = np.random.default_rng(seed)
+        data = np.empty((len(at), n), dtype=np.int64)
+        for i, parents, shape, entries, width, steps in plan:
+            # each draw's row of the cumulative table; None for a root
+            row = _flat_index([data[p] for p in parents], shape)
+            u = rng.random(n)
+            out = data[i]
+            if entries is not None:  # the first comparison writes the count
+                np.less(entries[0] if row is None else entries[0].take(row), u, out=out)
+                for entry in entries[1:]:
+                    out += (entry if row is None else entry.take(row)) < u
+                continue
+            if row is None:
+                out[:] = 0
+            else:
+                np.multiply(row, width, out=out)
+            for step, tail in steps:  # past the block if its last entry is below u
+                out += step * (tail.take(out) < u)
+            out &= width - 1  # the offset within the row's block of ``width``
+        return Dataset(columns, data.T, dict(cards))
+
+    return draw
 
 
 # -- serialization -----------------------------------------------------------
@@ -642,9 +666,10 @@ def _strings(items: object, name: str, length: int | None = None) -> list[str]:
 
 def bn_from_json(payload: dict) -> DiscreteBn:
     """Inverse of :func:`bn_to_json`.  A payload of the wrong shape raises
-    :class:`GraphError` naming the field; like every network, the result is
-    validated on construction, so a CPT row that does not sum to 1 raises
-    :class:`NormalizationError`."""
+    :class:`GraphError` naming the field, as does a card below 1 or a table
+    whose entry count is not its cards' product; like every network, the
+    result is validated on construction, so a CPT row that does not sum to
+    1 raises :class:`NormalizationError`."""
     if not isinstance(payload, dict):
         raise GraphError("network JSON must be an object")
     gspec = _field(payload, "graph", dict, "graph")
@@ -657,6 +682,9 @@ def bn_from_json(payload: dict) -> DiscreteBn:
     )
     card_specs = _field(payload, "cards", dict, "cards")
     cards = {v: _field(card_specs, v, int, f"cards.{v}") for v in g.vertices}
+    for v, card in cards.items():
+        if card < 1:
+            raise GraphError(f"network JSON: cards.{v} must be at least 1, got {card}")
     cpt_specs = _field(payload, "cpts", dict, "cpts")
     cpts = {}
     for v in g.vertices:
@@ -672,7 +700,13 @@ def bn_from_json(payload: dict) -> DiscreteBn:
             table = np.asarray(table, dtype=float)
         except (TypeError, ValueError):
             raise GraphError(f"network JSON: cpts.{v}.table must be an array of numbers") from None
-        cpts[v] = table.reshape(tuple(cards[p] for p in declared) + (cards[v],))
+        shape = tuple(cards[p] for p in declared) + (cards[v],)
+        if table.size != math.prod(shape):
+            raise GraphError(
+                f"network JSON: cpts.{v}.table has {table.size} entries, "
+                f"expected {math.prod(shape)} for cards {shape}"
+            )
+        cpts[v] = table.reshape(shape)
     return DiscreteBn(g, cards, cpts)
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -212,7 +211,8 @@ def _g_formula(
     family's table comes from one call, ``tables(families)``; ``add`` is
     added to each family's table after summing.  The conditionals are
     contracted with Y's values down to a scalar, so no table wider than the
-    contraction needs is formed.
+    contraction needs is formed.  This is :class:`_GFormula`'s plan, then
+    one evaluation of it.
 
     A needed conditional on a zero-probability event raises: with the
     treatment among its parents it is a :class:`PositivityError`, otherwise
@@ -222,42 +222,67 @@ def _g_formula(
     ``factors`` order, and of that factor's needed cells the first in C
     order over those parents taken in ``labels`` order.
     """
-    whole = tables([labels])[0] if _dense(cards, labels) else None
-    _check_level(cards, treat, a)
-    for child, parents in factors:  # a family past the guard raises before any table
-        check_enumerable(cards[v] for v in (child, *parents))
-    fams = [[v for v in labels if v == child or v in parents] for child, parents in factors]
-    if whole is None:
-        nums = tables(fams)
-    else:
-        nums = [_sum_to(whole, labels, fam) for fam in fams]
-    conds, undefined = [], []
-    for (child, parents), fam, num in zip(factors, fams, nums):
-        num = (num + add).reshape([cards[v] for v in fam])
-        if treat in parents:
-            num = num.take(a, axis=fam.index(treat))
-            fam.remove(treat)
-        den = num.sum(axis=fam.index(child), keepdims=True)
-        defined = den > 0.0
-        if defined.all():
-            cond = num / den
-        else:
-            # undefined cells weigh 1 so that only the defined factors decide
-            # whether a configuration, and so the cell, is needed
-            cond = _ratio(num, den) + ~defined
-            undefined.append((child, tuple(parents), fam, den))
-        conds.append((tuple(fam), cond))
-    for child, parents, fam, den in undefined:
-        error = PositivityError if treat in parents else ZeroConditioningEvent
-        message = f"p({child} | {', '.join(parents)}) at {treat}={a} needs a null event"
-        # the product summed down to the other parents: positive where some
-        # needed configuration holds their states
-        given = [v for v in fam if v != child]
-        weight = contract(conds, cards, given)
-        where = (child, [given.index(v) for v in parents if v != treat])
-        _require(weight, den.reshape(weight.shape), error, message, where)
-    y_vals = ((y,), np.arange(cards[y], dtype=float))
-    return float(contract(conds + [y_vals], cards, ()))
+    plan = _GFormula(labels, cards, factors, treat, y, a)
+    return plan(tables(plan.scopes), add)
+
+
+class _GFormula:
+    """:func:`_g_formula`'s plan, made once: its guards, and each family's
+    axes, shape and treatment axis; ``scopes`` are the tables it reads, and
+    calling it on them evaluates the formula."""
+
+    def __init__(
+        self, labels: Sequence[str], cards: Mapping[str, int],
+        factors: Sequence[tuple[str, Sequence[str]]], treat: str, y: str, a: int,
+    ):
+        dense = _dense(cards, labels)
+        _check_level(cards, treat, a)
+        for child, parents in factors:  # a family past the guard raises before any table
+            check_enumerable(cards[v] for v in (child, *parents))
+        fams = [[v for v in labels if v == child or v in parents] for child, parents in factors]
+        self.scopes = [labels] if dense else fams
+        # over dense labels, the axes each family sums from the one table
+        self.drops = None
+        if dense:
+            self.drops = [tuple(i for i, v in enumerate(labels) if v not in fam) for fam in fams]
+        self.cards, self.treat, self.a = cards, treat, a
+        self.y_vals = ((y,), np.arange(cards[y], dtype=float))
+        self.families = []  # child, parents, shape, treatment axis, axes once it is fixed
+        for (child, parents), fam in zip(factors, fams):
+            at = fam.index(treat) if treat in parents else None
+            axes = tuple(fam) if at is None else (*fam[:at], *fam[at + 1 :])
+            self.families.append((child, parents, [cards[v] for v in fam], at, axes))
+
+    def __call__(self, tables: Sequence[np.ndarray], add: float = 0.0) -> float:
+        cards, treat, a = self.cards, self.treat, self.a
+        nums = tables
+        if self.drops is not None:
+            nums = [tables[0].sum(axis=drop, keepdims=True) for drop in self.drops]
+        conds, undefined = [], []
+        for (child, parents, shape, at, axes), num in zip(self.families, nums):
+            num = (num + add).reshape(shape)
+            if at is not None:
+                num = num.take(a, axis=at)
+            den = num.sum(axis=axes.index(child), keepdims=True)
+            defined = den > 0.0
+            if defined.all():
+                cond = num / den
+            else:
+                # undefined cells weigh 1 so that only the defined factors decide
+                # whether a configuration, and so the cell, is needed
+                cond = _ratio(num, den) + ~defined
+                undefined.append((child, parents, axes, den))
+            conds.append((axes, cond))
+        for child, parents, axes, den in undefined:
+            error = PositivityError if treat in parents else ZeroConditioningEvent
+            message = f"p({child} | {', '.join(parents)}) at {treat}={a} needs a null event"
+            # the product summed down to the other parents: positive where some
+            # needed configuration holds their states
+            given = [v for v in axes if v != child]
+            weight = contract(conds, cards, given)
+            where = (child, [given.index(v) for v in parents if v != treat])
+            _require(weight, den.reshape(weight.shape), error, message, where)
+        return float(contract(conds + [self.y_vals], cards, ()))
 
 
 def _dense(cards: Mapping[str, int], vertices: Iterable[str]) -> bool:
@@ -501,36 +526,41 @@ def adjustment_if_variance(bn: DiscreteBn, L: Iterable[str], a: int) -> float:
 
 # -- plugin estimators -------------------------------------------------------
 
-def _counts(ds: Dataset, axes: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
-    """The counts of the states of the ``axes`` columns of ``ds``, one axis
-    per column in that order; refused past the guard.  The flat index needs
-    no bounds check: ``Dataset`` holds every state below its declared card,
-    and :func:`_data_cards` gives every other column a card of its max + 1."""
-    shape = [cards[v] for v in axes]
-    check_enumerable(shape)
-    flat = _flat_index([ds.column(v) for v in axes], shape)
-    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+def _kept(g: Dag, key: tuple, make: Callable[[], object]) -> object:
+    """``make()``, kept on ``g`` under ``key`` for the graph's later calls.
+    It is kept per instance, as a plan follows ``g``'s vertex order, which
+    an equal graph need not share."""
+    kept = vars(g).setdefault("_kept", {})
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
 
 
-def _data_cards(ds: Dataset, labels: Sequence[str], treat: str, a: int) -> dict[str, int]:
-    """The cardinality of each of ``labels`` in ``ds``.  An undeclared
-    treatment reaches at least level ``a``: a level that no row shows is an
-    empty cell, not a level out of range."""
-    cards = {v: ds.card(v) for v in labels}
-    if treat not in ds.cards:
-        cards[treat] = max(cards[treat], a + 1)
-    return cards
+def _plugin(
+    g: Dag, cards: Mapping[str, int], a: int, laplace: float | None = None
+) -> Callable[[Dataset], float]:
+    """:func:`plugin_g` planned once for ``g``, the cards of its columns and
+    the level: the returned ``estimate(dataset)`` only counts and evaluates.
+    A count's flat index has no bounds check, so each dataset's states lie
+    below ``cards``."""
+    plan = _GFormula(list(g.vertices), cards, _factors(g), g.treatment, g.outcome, a)
+    shapes = [(scope, [cards[v] for v in scope]) for scope in plan.scopes]
+    add = laplace or 0.0
 
+    def estimate(dataset: Dataset) -> float:
+        counts = [
+            np.bincount(
+                _flat_index([dataset.column(v) for v in scope], shape), minlength=math.prod(shape)
+            ).reshape(shape)
+            for scope, shape in shapes
+        ]
+        try:
+            return plan(counts, add)
+        except (PositivityError, ZeroConditioningEvent) as exc:  # an unobserved cell
+            message = f"no observations at needed cell {exc.cell}: {exc}"
+            raise EmptyCellError(message, exc.cell) from exc
 
-@contextmanager
-def _empty_cells() -> Iterator[None]:
-    """Re-raise a kernel's null-event error, met on counts, as the
-    :class:`EmptyCellError` of an unobserved cell."""
-    try:
-        yield
-    except (PositivityError, ZeroConditioningEvent) as exc:
-        message = f"no observations at needed cell {exc.cell}: {exc}"
-        raise EmptyCellError(message, exc.cell) from exc
+    return estimate
 
 
 def plugin_g(dataset: Dataset, g: Dag, a: int, laplace: float | None = None) -> float:
@@ -543,7 +573,8 @@ def plugin_g(dataset: Dataset, g: Dag, a: int, laplace: float | None = None) -> 
     contracted together, so no table is wider than the contraction needs: a
     full graph of many covariates (a 26-vertex binary chain: 2**26 cells,
     families of at most 8) gives its plugin, which equals the reduced
-    graph's.
+    graph's.  The plan that :func:`_plugin` makes for ``g``, the cards and
+    the level is kept on ``g``, so a later call only counts and contracts.
 
     A conditioning cell that carries positive weight but was never observed
     raises :class:`EmptyCellError`, whose ``cell`` is the exact routes'
@@ -553,16 +584,14 @@ def plugin_g(dataset: Dataset, g: Dag, a: int, laplace: float | None = None) -> 
     """
     if laplace is not None and not 0.0 <= laplace < np.inf:
         raise ValueError(f"laplace must be finite and >= 0, got {laplace}")
-    labels = list(g.vertices)
-    cards = _data_cards(dataset, labels, g.treatment, a)
-
-    def counts(scopes: list[Sequence[str]]) -> list[np.ndarray]:
-        return [_counts(dataset, s, cards) for s in scopes]
-
-    with _empty_cells():
-        return _g_formula(
-            counts, labels, cards, _factors(g), g.treatment, g.outcome, a, laplace or 0.0
-        )
+    # ``Dataset`` holds every state below its declared card, and any other
+    # column's card is its max + 1; an undeclared treatment reaches at least
+    # level a, so a level that no row shows is an empty cell, not out of range
+    cards = {v: dataset.card(v) for v in g.vertices}
+    if g.treatment not in dataset.cards:
+        cards[g.treatment] = max(cards[g.treatment], a + 1)
+    key = ("plugin", tuple(cards.values()), a, laplace or 0.0)
+    return _kept(g, key, lambda: _plugin(g, cards, a, laplace))(dataset)
 
 
 def plugin_adjustment(dataset: Dataset, g: Dag, L: Iterable[str], a: int) -> float:
@@ -570,5 +599,6 @@ def plugin_adjustment(dataset: Dataset, g: Dag, L: Iterable[str], a: int) -> flo
     the adjustment formula on the empirical law, which is :func:`plugin_g`
     on G_L (:func:`_adjustment_graph`).  ``L`` holds no descendant of A
     under ``g``.  An L state seen without A=a raises :class:`EmptyCellError`
-    with cell ``('Y', l)``."""
-    return plugin_g(dataset, _adjustment_graph(g, L), a)
+    with cell ``('Y', l)``.  G_L is kept on ``g``, with its plans."""
+    L = tuple(L)
+    return plugin_g(dataset, _kept(g, ("G_L", frozenset(L)), lambda: _adjustment_graph(g, L)), a)

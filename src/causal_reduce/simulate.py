@@ -166,7 +166,10 @@ def run_simulation(
     its replication index; ``"skip"`` discards that replication, keeps
     drawing (continuing the seed sequence) until the configured count of
     estimable replications is reached, and records each one skipped in
-    ``SimTable.skips``.
+    ``SimTable.skips``.  ``sample`` keeps its sampler on the network, and
+    ``plugin_g`` and ``plugin_adjustment`` keep their plans (and G_L) on
+    the graphs, so only the first replication plans and the others only
+    draw, count and contract.
     """
     if on_empty not in ("error", "skip"):
         raise ValueError("on_empty must be 'error' or 'skip'")

@@ -491,7 +491,63 @@ class TestSampleStream:
         assert_same_stream(bn, 5000, (0, 1, 2))
 
 
+class TestOneSampler:
+    """``bn._sampler`` forms a network's tables once; each of its draws is
+    the gathering sampler's stream for its (n, seed), in any order, and so
+    is each call of ``sample``, which keeps one sampler on the network."""
+
+    # every way a vertex draws: U and Z have one state (Z with a parent),
+    # R is a counted root, S a bisected root, A a counted child and Y a
+    # bisected child
+    GRAPH = Dag(
+        ("U", "R", "S", "A", "Z", "Y"),
+        (("R", "A"), ("S", "A"), ("A", "Z"), ("A", "Y"), ("U", "Y"), ("S", "Y")),
+        "A",
+        "Y",
+    )
+
+    @pytest.mark.parametrize("law_seed", [0, 1, 2, 3])
+    def test_interleaved_draws_are_the_gathering_sampler(self, law_seed):
+        rng = np.random.default_rng(law_seed)
+        cards = {
+            "U": 1,
+            "R": int(rng.integers(2, 13)),
+            "S": int(rng.integers(13, 40)),
+            "A": int(rng.integers(2, 4)),
+            "Z": 1,
+            "Y": int(rng.integers(4, 20)),
+        }
+        bn = random_law(self.GRAPH, cards, seed=law_seed, epsilon=0.001)
+        draw = bn_module._sampler(bn)
+        for n, seed in [(500, 0), (1, 7), (3000, 1), (500, 0), (2, 7), (3000, 2), (1, 7)]:
+            rows = draw(n, seed).rows
+            assert np.array_equal(rows, sample_gathered(bn, n, seed).rows), (n, seed)
+            assert np.array_equal(rows, sample(bn, n, seed).rows), (n, seed)
+
+    def test_draws_refuse_zero_rows(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bn_module._sampler(coin_pair())(0, 1)
+
+
 class TestSerialization:
+    def test_bn_json_refuses_a_table_of_the_wrong_size(self):
+        # cards.Y edited from 3 to 30: the table still holds 2 x 3 entries
+        g = Dag(("A", "Y"), (("A", "Y"),), "A", "Y")
+        bn = random_law(g, {"A": 2, "Y": 3}, seed=1)
+        payload = bn_to_json(bn)
+        payload["cards"]["Y"] = 30
+        with pytest.raises(GraphError, match=r"cpts\.Y\.table has 6 entries, expected 60"):
+            bn_from_json(payload)
+
+    @pytest.mark.parametrize("card", [0, -1, -3])
+    def test_bn_json_refuses_a_card_below_one(self, card):
+        # -1 and -3 would reshape, or be inferred by numpy, were they let through
+        g = Dag(("A", "Y"), (("A", "Y"),), "A", "Y")
+        payload = bn_to_json(random_law(g, {"A": 2, "Y": 3}, seed=1))
+        payload["cards"]["Y"] = card
+        with pytest.raises(GraphError, match=rf"cards\.Y must be at least 1, got {card}"):
+            bn_from_json(payload)
+
     def test_bn_json_round_trip(self, rng):
         g = golden("motivating_slim")
         cards = {v: int(rng.integers(2, 4)) for v in g.vertices}

@@ -367,6 +367,7 @@ class TestEstimate:
             (lambda p: p["graph"]["edges"].append("W2"), "graph.edges["),
             (lambda p: p["cpts"]["W2"].update(table=[[None, 1.0]]), "'W2' has entries outside"),
             (lambda p: p["cpts"]["W2"].update(table=[["x", 1.0]]), "cpts.W2.table must be an array of numbers"),
+            (lambda p: p["cards"].update(W2=30), "cpts.W4.table has 8 entries, expected 120"),
         ],
     )
     def test_malformed_bn_json_is_input_error(self, capsys, tmp_path, edit, field):

@@ -36,6 +36,7 @@ from causal_reduce.functionals import (
 )
 from causal_reduce.graph import Dag, GraphError, descendants, parse_graph
 from causal_reduce.reduction import reduce
+from causal_reduce.simulate import DEFAULTS, SimConfig, build_benchmark_dgp
 from causal_reduce.taxonomy import classify
 from conftest import LAW_SUITE, golden, positivity_hole_law
 from oracles import (
@@ -559,6 +560,93 @@ class TestPlugins:
         red = parse_graph("!treatment A\n!outcome Y\nA -> Y\nO -> A\nO -> Y\nM\n")
         sub = parse_graph("!treatment A\n!outcome Y\nA -> Y\nO -> A\nO -> Y")
         assert plugin_g(ds, sub, 1) == pytest.approx(plugin_g(ds, red, 1))
+
+
+def _fresh(g):
+    """A copy of ``g`` that keeps no plan yet."""
+    return Dag(g.vertices, g.edges, g.treatment, g.outcome)
+
+
+class TestPluginPlan:
+    """``functionals._plugin``, the plan that ``plugin_g`` keeps on a graph
+    and applies to every later dataset, answers and raises as a plan made
+    for one dataset does."""
+
+    EMPTY = (
+        "no observations at needed cell {cell}: p({child} | {parents}) at A=1 "
+        "needs a null event (cell {cell})"
+    )
+
+    def test_an_unobserved_cell_raises_as_plugin_g(self):
+        # the labels' 8 cells are counted in one table; A = 1 is seen only
+        # with O = 0, so both estimators need the unobserved cell O = 1, A = 1
+        g = parse_graph("!treatment A\n!outcome Y\nO -> A\nO -> Y\nA -> Y")
+        rows = np.array([[0, 1, 1], [0, 0, 0], [1, 0, 1], [1, 0, 0]])
+        ds = Dataset(("O", "A", "Y"), rows, {"O": 2, "A": 2, "Y": 2})
+        message = self.EMPTY.format(cell=("Y", (1,)), child="Y", parents="O, A")
+        estimates = [partial(plugin_adjustment, g=g, L=["O"], a=1)]
+        for graph in (g, functionals._adjustment_graph(g, {"O"})):
+            estimates += [partial(plugin_g, g=graph, a=1), functionals._plugin(graph, ds.cards, 1)]
+        for estimate in estimates * 2:  # the second round reads the kept plans
+            with pytest.raises(EmptyCellError) as err:
+                estimate(ds)
+            assert str(err.value) == message
+            assert err.value.cell == ("Y", (1,))
+
+    def test_an_unobserved_cell_of_per_family_counts(self):
+        # design b's labels have 50 * 50 * 10 * 8 cells, so each family is
+        # counted on its own; 400 rows miss the covariate pair (0, 1)
+        bn = build_benchmark_dgp(SimConfig("b", 50, 10, 400, 1, 0))
+        ds = sample(bn, 400, seed=0)
+        message = self.EMPTY.format(cell=("W4", (0, 1)), child="W4", parents="W2, W3")
+        estimates = (partial(plugin_g, g=bn.graph, a=1), functionals._plugin(bn.graph, bn.cards, 1))
+        for estimate in estimates * 2:
+            with pytest.raises(EmptyCellError) as err:
+                estimate(ds)
+            assert str(err.value) == message
+            assert err.value.cell == ("W4", (0, 1))
+
+    @pytest.mark.parametrize("laplace", [None, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("design, n", [("a", 90), ("a", 3000), ("b", 400), ("b", 20_000)])
+    def test_one_plan_for_many_datasets_is_plugin_g(self, design, n, laplace):
+        # one plan, and the plan plugin_g keeps on the graph, applied to
+        # datasets drawn in turn give each dataset's plugin_g on a graph
+        # that keeps no plan, to the bit, or its error; design a counts one
+        # table over the labels and design b counts each family
+        cfg = SimConfig(design, n=n, replications=1, seed=0, **DEFAULTS[design])
+        bn = build_benchmark_dgp(cfg)
+        graphs = (bn.graph, reduce(bn.graph).output, functionals._adjustment_graph(bn.graph, {"O1"}))
+        plans = [functionals._plugin(graph, bn.cards, 1, laplace) for graph in graphs]
+        for seed in range(4):
+            ds = sample(bn, n, seed)
+            for graph, plan in zip(graphs, plans):
+                want = _outcome(lambda: plugin_g(ds, _fresh(graph), 1, laplace))
+                for got in (_outcome(lambda: plan(ds)), _outcome(lambda: plugin_g(ds, graph, 1, laplace))):
+                    if isinstance(want, float):
+                        assert float.hex(got) == float.hex(want)
+                    else:
+                        assert type(got) is type(want) and str(got) == str(want)
+                        assert got.cell == want.cell
+
+    def test_plans_are_kept_per_graph_and_call(self):
+        # two equal graphs that declare their vertices in other orders, each
+        # asked at other levels, smoothings and adjustment sets in turn:
+        # every answer is that of a graph that keeps no plan
+        g = parse_graph("!treatment A\n!outcome Y\nW -> A\nW -> Y\nA -> M\nM -> Y\nV -> Y")
+        h = Dag(tuple(reversed(g.vertices)), g.edges, "A", "Y")
+        bn = random_law(g, {"W": 3, "A": 3, "M": 2, "V": 4, "Y": 3}, seed=5)
+        ds = sample(bn, 20_000, seed=1)
+        calls = [(a, laplace) for a in (1, 0, 2) for laplace in (None, 0.5)] * 2
+        for graph in (g, h, g):
+            for a, laplace in calls:
+                got = plugin_g(ds, graph, a, laplace)
+                assert float.hex(got) == float.hex(plugin_g(ds, _fresh(graph), a, laplace))
+            for L in (["W"], ["V", "W"], ["W", "V"], [], ["W"]):
+                got = plugin_adjustment(ds, graph, iter(L), 1)
+                assert float.hex(got) == float.hex(plugin_adjustment(ds, _fresh(graph), L, 1))
+            for _ in range(2):  # a refused set is never kept
+                with pytest.raises(GraphError, match="adjustment set may not hold M"):
+                    plugin_adjustment(ds, graph, ["M"], 1)
 
 
 class TestReadmePositivityExamples:

@@ -7,6 +7,7 @@ import pytest
 
 from causal_reduce.bn import EnumerationLimitError, derive_seed, sample
 from causal_reduce.functionals import EmptyCellError, plugin_adjustment, plugin_g
+from causal_reduce import simulate
 from causal_reduce.reduction import reduce
 from causal_reduce.simulate import (
     SimConfig,
@@ -142,6 +143,15 @@ class TestRun:
         with pytest.raises(EmptyCellError):
             run_simulation(cfg, on_empty="skip")
 
+    def test_empty_cell_message_is_pinned(self):
+        with pytest.raises(EmptyCellError) as err:
+            run_simulation(small_cfg(n=20, replications=2))
+        assert str(err.value) == (
+            "replication 0: no observations at needed cell ('W4', (0, 0)): "
+            "p(W4 | W2, W3) at A=1 needs a null event (cell ('W4', (0, 0)))"
+        )
+        assert err.value.cell == ("W4", (0, 0))
+
     def test_rejects_an_unknown_on_empty(self):
         with pytest.raises(ValueError, match="on_empty must be 'error' or 'skip'"):
             run_simulation(small_cfg(), on_empty="ignore")
@@ -272,3 +282,72 @@ def test_skips_name_their_seed_and_empty_cell():
         }
         for skip in table.skips
     ]
+
+
+def public_replications(cfg):
+    """``run_simulation``'s loop in skip mode, written with the public
+    ``sample``, ``plugin_g`` and ``plugin_adjustment`` on a network and
+    graphs made anew for each replication, so that no call reads a kept
+    sampler or plan: the estimates and the skipped replications as (index,
+    seed, cell)."""
+    values = {"adjustment": [], "g_plugin_full": [], "g_plugin_reduced": []}
+    skips, rep = [], 0
+    while len(values["adjustment"]) < cfg.replications:
+        bn = build_benchmark_dgp(cfg)
+        g_reduced = reduce(bn.graph).output
+        seed = derive_seed(cfg.seed, rep)
+        ds = sample(bn, cfg.n, seed)
+        try:
+            full = plugin_g(ds, bn.graph, 1)
+            reduced = plugin_g(ds, g_reduced, 1)
+            adjustment = plugin_adjustment(ds, bn.graph, {"O1"}, 1)
+        except EmptyCellError as exc:
+            skips.append((rep, seed, exc.cell))
+        else:
+            values["g_plugin_full"].append(full)
+            values["g_plugin_reduced"].append(reduced)
+            values["adjustment"].append(adjustment)
+        rep += 1
+    return {k: np.array(v) for k, v in values.items()}, skips
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # the labels' 10 000 cells are counted in one table
+        SimConfig("a", m=5, k=50, n=90, replications=6, seed=11),
+        SimConfig("a", m=5, k=50, n=2000, replications=3, seed=12),
+        # 72 000 and 25 600 cells: each family is counted on its own
+        SimConfig("b", m=30, k=10, n=6000, replications=4, seed=1),
+        SimConfig("b", m=20, k=8, n=2500, replications=4, seed=1),
+    ],
+    ids=["a-skips", "a", "b-skips", "b-small"],
+)
+def test_planned_replications_are_the_public_functions(cfg):
+    # run_simulation's replications read the sampler and plans kept by the
+    # first; each estimate and each skip must still be that of calls that
+    # plan anew, to the bit
+    table = run_simulation(cfg, keep_estimates=True, on_empty="skip")
+    values, skips = public_replications(cfg)
+    assert [(s.index, s.seed, s.cell) for s in table.skips] == skips
+    assert set(table.estimates) == set(values)
+    for name, x in values.items():
+        assert table.estimates[name].tobytes() == x.tobytes(), name
+
+
+def test_each_replication_calls_the_public_functions(monkeypatch):
+    # the replications draw and estimate through sample, plugin_g and
+    # plugin_adjustment themselves, as a wrapper of those names sees them
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(simulate, name, call)
+
+    for name, fn in (("sample", sample), ("plugin_g", plugin_g), ("plugin_adjustment", plugin_adjustment)):
+        counted(name, fn)
+    run_simulation(SimConfig("a", m=5, k=50, n=2000, replications=3, seed=12))
+    assert calls == ["sample", "plugin_g", "plugin_g", "plugin_adjustment"] * 3
